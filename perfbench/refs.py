@@ -3,21 +3,57 @@
 Rearrangement preserves entropy, so a family's DR has the entropy of the
 family itself.  Mixing, dilation and the sum of two DR variables then give
 the identities the workloads check against.
+
+Every function here that computes a reference runs under ``own_time``, which
+adds its time to ``OWN_S``: the benchmark's own time, which run.py takes out
+of ``setup_s`` (the checks run under it too).
 """
 
+import contextlib
+import functools
 import math
+import time
 
 import numpy as np
 from scipy import integrate, optimize, special, stats
 
 EULER_GAMMA = float(np.euler_gamma)
 
+#: seconds spent in reference computations and checks so far
+OWN_S = 0.0
+_depth = 0
 
+
+@contextlib.contextmanager
+def own_time():
+    """Count the enclosed time as the benchmark's own (outermost level only)."""
+    global OWN_S, _depth
+    _depth += 1
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        _depth -= 1
+        if _depth == 0:
+            OWN_S += time.perf_counter() - t0
+
+
+def _own(fn):
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        with own_time():
+            return fn(*args, **kwargs)
+
+    return wrapper
+
+
+@_own
 def h_binary(alpha):
     """Entropy of the two-point law (alpha, 1 - alpha)."""
     return -alpha * math.log(alpha) - (1.0 - alpha) * math.log(1.0 - alpha)
 
 
+@_own
 def family_entropy(kind, **p):
     """Shannon entropy of the named family (and so of its DR)."""
     if kind == "exp":  # n iid unit exponentials
@@ -34,6 +70,7 @@ def _normal_pdf(x, loc, scale):
     return np.exp(-0.5 * u * u) / (scale * math.sqrt(2.0 * math.pi))
 
 
+@_own
 def mvn1_exp1_crossing():
     """Where the DR cdfs of N(0, 1) and Exp(1) cross (the only sign change)."""
     gap = lambda z: special.erf(z / (2.0 * math.sqrt(2.0))) + math.expm1(-z)
@@ -49,6 +86,7 @@ def _shannon_quad(pdf, lo, hi, points=None):
     return val
 
 
+@_own
 def hypoexp_entropy(t1, t2):
     """Entropy of Exp(t1) + Exp(t2), t1 != t2, from its closed-form density."""
     c = t1 * t2 / (t2 - t1)
@@ -56,6 +94,7 @@ def hypoexp_entropy(t1, t2):
     return _shannon_quad(pdf, 0.0, 60.0 / min(t1, t2))
 
 
+@_own
 def gamma2_dr_moments():
     """Mean and variance of the DR of the Gamma(2, 1) density s exp(-s).
 
@@ -72,6 +111,7 @@ def gamma2_dr_moments():
     return first, second - first * first
 
 
+@_own
 def join_mvn1_exp1_entropy():
     """Entropy of the derivative of max(F_mvn1, F_exp1): Exp(1) up to the
     crossing, the rearranged normal beyond it."""
@@ -114,6 +154,7 @@ class TruncatedNormalMix:
     def support(self):
         return self.scale * self.lo, self.scale * self.hi
 
+    @_own
     def entropy(self):
         lo, hi = self.support
         return _shannon_quad(
@@ -121,6 +162,7 @@ class TruncatedNormalMix:
         )
 
 
+@_own
 def beta_entropy(a, b):
     return float(stats.beta(a, b).entropy())
 
@@ -136,12 +178,14 @@ def beta_pdf(a, b):
     return pdf
 
 
+@_own
 def shannon(p):
     p = np.asarray(p, dtype=np.float64)
     p = p[p > 0.0]
     return float(-(p * np.log(p)).sum())
 
 
+@_own
 def precedes(p, q, tol=1e-12):
     """p majorised by q: every sorted partial sum of p is at most q's (HLP)."""
     n = max(p.size, q.size)

@@ -3,12 +3,17 @@
     python3 perfbench/run.py --workload compose --seed 1 --seconds 20 --trace 0
 
 Run from the root of a source checkout; drmaj is imported from ./src.  A run
-builds a fixed, seeded list of ops (one round) and sets up three times: it
-times the imports here and in two child interpreters, and makes the inputs
-and references and runs an untimed warm-up three times.  It then repeats
-whole rounds until ``--seconds`` have passed.  Every op's outputs are checked against
-references computed apart from drmaj, or against properties the method must
-have, and must be bit-identical in every round.
+imports drmaj, builds a fixed, seeded list of ops (one round) with the
+references to check it against, and runs an untimed warm-up.  It then repeats
+whole rounds until ``--seconds`` have passed.  Every op's outputs are checked
+against references computed apart from drmaj, or against properties the
+method must have, and must be bit-identical in every round.
+
+A set-up lasts from process start to the first timed op, less the time the
+benchmark spends on its own references and checks.  ``setup_s`` is the
+median of SETUP_PASSES cold set-ups: this process's, and after the timed
+rounds, those of fresh processes that stop before the first timed op
+(``--setup-only``, which prints the set-up seconds).
 
 ``--trace 0`` prints the end-to-end metrics.  ``--trace 1`` runs the first
 half of the time untraced and the second half with per-layer wrappers, and
@@ -31,8 +36,7 @@ import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-#: set-up is measured this many times: imports in this process and in
-#: SETUP_PASSES - 1 child interpreters, and the in-process set-up pass
+#: cold set-ups per run: this process's and SETUP_PASSES - 1 fresh processes'
 SETUP_PASSES = 3
 
 
@@ -43,6 +47,8 @@ def _parse_args():
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
+    ap.add_argument("--setup-only", action="store_true",
+                    help="set up, print the set-up seconds and exit")
     return ap.parse_args()
 
 
@@ -58,21 +64,35 @@ def _pin_blas_threads():
         os.environ[var] = BLAS_THREADS
 
 
-def _import_all():
-    """Import drmaj from ./src and the workloads; seconds since process start."""
+def _set_up(workload_name, seed):
+    """Import drmaj from ./src, make the inputs and warm up.
+
+    Returns the workload, a runner that has run the warm-up, and the set-up
+    seconds: process start to now, less the benchmark's own time.
+    """
     _pin_blas_threads()
     src = ROOT / "src"
     if not (src / "drmaj" / "__init__.py").is_file():
         sys.exit(f"error: no drmaj sources under {src}; run from a drmaj checkout")
     sys.path.insert(0, str(src))
-    import workloads  # noqa: F401  (imports drmaj)
+    import drmaj  # noqa: F401
 
-    return time.perf_counter() - T_START
+    t0 = time.perf_counter()
+    import refs
+    import workloads
+
+    own_s = time.perf_counter() - t0
+    workload = workloads.WORKLOADS[workload_name](seed)
+    runner = Runner()
+    runner.round(workload.ops[:workload.warmup], timed=False)
+    return workload, runner, time.perf_counter() - T_START - own_s - refs.OWN_S
 
 
-def _child_import_s():
-    proc = subprocess.run([sys.executable, __file__, "--import-only"], capture_output=True,
-                          text=True, timeout=120, check=True)
+def _cold_setup_s(args):
+    proc = subprocess.run(
+        [sys.executable, __file__, "--workload", args.workload, "--seed", str(args.seed),
+         "--seconds", str(args.seconds), "--setup-only"],
+        capture_output=True, text=True, timeout=120, check=True)
     return float(proc.stdout)
 
 
@@ -83,11 +103,12 @@ class Runner:
         self.digests = {}
         self.problems = []
         self.latencies_ms = []
-        self.busy_ns = 0
         self.attempted = 0
         self.failed = 0
 
     def round(self, ops, timed=True, tracer=None):
+        import refs  # loaded by _set_up, after the BLAS threads are pinned
+
         done = {}
         for op in ops:
             t0 = time.perf_counter_ns()
@@ -98,12 +119,12 @@ class Runner:
             dt = time.perf_counter_ns() - t0
             if tracer is not None:
                 tracer.enabled = False  # checks are not the program's time
-            problems = self._check(op, out, err, done)
+            with refs.own_time():
+                problems = self._check(op, out, err, done)
             if tracer is not None:
                 tracer.enabled = True
             if timed:
                 self.attempted += 1
-                self.busy_ns += dt
                 if out is None or problems:
                     self.failed += 1
                 else:
@@ -148,23 +169,10 @@ def _quantile(values, q):
 
 def main():
     args = _parse_args()
-    imports = [_import_all()] + [_child_import_s() for _ in range(SETUP_PASSES - 1)]
-    import_s = statistics.median(imports)
-    import workloads
-
-    build = workloads.WORKLOADS[args.workload]
-
-    # set up several times; the median pass is the set-up cost
-    passes, setup_problems = [], []
-    for _ in range(SETUP_PASSES):
-        t0 = time.perf_counter()
-        workload = build(args.seed)
-        runner = Runner()
-        runner.round(workload.ops[:workload.warmup], timed=False)
-        passes.append(time.perf_counter() - t0)
-        setup_problems += runner.problems
-    runner.problems = setup_problems
-    setup_s = import_s + statistics.median(passes)
+    workload, runner, setup_s = _set_up(args.workload, args.seed)
+    if args.setup_only:
+        print(setup_s)  # the parent's own set-up reports any check failures
+        return 0
 
     tracer = None
     halves = []
@@ -176,21 +184,21 @@ def main():
             tracer = spans.Tracer()
             tracer.install()
             tracer.enabled = True
-        before = (runner.attempted, runner.failed, runner.busy_ns)
+        before = (runner.attempted, runner.failed)
         t0 = time.perf_counter()
         while True:
             runner.round(workload.ops, tracer=tracer)
-            if time.perf_counter() - t0 >= budget:
+            wall_s = time.perf_counter() - t0
+            if wall_s >= budget:
                 break
-        halves.append(tuple(b - a for a, b in zip(before, (runner.attempted, runner.failed,
-                                                           runner.busy_ns))))
+        halves.append((runner.attempted - before[0], runner.failed - before[1], wall_s))
     if tracer is not None:
         tracer.enabled = False
         tracer.uninstall()
 
     def ops_per_s(half):
-        attempted, failed, busy_ns = half
-        return (attempted - failed) / (busy_ns / 1e9)
+        attempted, failed, wall_s = half
+        return (attempted - failed) / wall_s
 
     lat = runner.latencies_ms
     correct = not runner.problems and len(lat) > 0
@@ -207,9 +215,10 @@ def main():
               f"{ops_per_s(untraced):.3f} traced {ops_per_s(traced):.3f} "
               f"(overhead {overhead:.2f}%)")
     else:
+        setups = [setup_s] + [_cold_setup_s(args) for _ in range(SETUP_PASSES - 1)]
         peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         metrics = {
-            "setup_s": {"value": setup_s, "unit": "s"},
+            "setup_s": {"value": statistics.median(setups), "unit": "s"},
             "ops_per_s": {"value": ops_per_s(halves[0]), "unit": "1/s"},
             "op_ms_p50": {"value": statistics.median(lat) if lat else 0.0, "unit": "ms"},
             "op_ms_p90": {"value": _quantile(lat, 90) if len(lat) > 1 else 0.0, "unit": "ms"},
@@ -218,16 +227,12 @@ def main():
         print(f"# {args.workload} seed {args.seed}: {runner.attempted} ops in "
               f"{runner.attempted // len(workload.ops)} rounds, "
               f"{runner.failed} failed, {len(lat)} latency samples, BLAS threads "
-              f"{BLAS_THREADS}, imports " + ", ".join(f"{t:.3f}" for t in imports)
-              + " s, set-up passes "
-              + ", ".join(f"{p:.3f}" for p in passes) + " s")
+              f"{BLAS_THREADS}, cold set-ups " + ", ".join(f"{t:.3f}" for t in setups)
+              + " s")
     print(json.dumps({"correct": correct, "attempted": runner.attempted,
                       "failed": runner.failed, "metrics": metrics}))
     return 0
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--import-only"]:
-        print(_import_all())
-        sys.exit(0)
     sys.exit(main())
