@@ -318,41 +318,29 @@ def _compare_op(name, side1, side2, want_verdict, want_h1, want_h2, h_tol, extra
     return Op(name, run, check)
 
 
-def compare(seed):
-    rng = np.random.default_rng(seed)
+def _compare_instance(rng, tag):
+    """One op per seeded template, each named ``<template><tag>``."""
     H = refs.family_entropy
     ops = []
 
     a, b = _uniform(rng, 1.5, 5.0), _uniform(rng, 1.5, 5.0)
     h_beta = refs.beta_entropy(a, b)
     ops.append(_compare_op(
-        "beta_mirror", _density_side(refs.beta_pdf(a, b), 0.0, 1.0),
+        "beta_mirror" + tag, _density_side(refs.beta_pdf(a, b), 0.0, 1.0),
         _density_side(refs.beta_pdf(b, a), 0.0, 1.0), EQUAL, h_beta, h_beta, H_TOL_TABLE))
 
-    z_cross = refs.mvn1_exp1_crossing()
-
-    def one_crossing(problems, out):
-        c = out["crossings"]
-        if len(c) != 1 or abs(c[0] - z_cross) > 1e-3:
-            problems.append(f"crossings {c}, want one within 1e-3 of {z_cross:.6f}")
-
-    ops.append(_compare_op(
-        "mvn_vs_exp", _closed_side("mvn:n=1"), _closed_side("exp:n=1"), "incomparable",
-        H("mvn", n=1, var=1.0), 1.0, H_TOL_EXACT, extra=one_crossing))
-
-    # chains: more dimensions, more variance, lower rate are more uncertain
-    ops.append(_compare_op(
-        "dimension_chain", _closed_side("exp:n=3"), _closed_side("exp:n=2"), PRECEDES,
-        3.0, 2.0, H_TOL_EXACT))
+    # chains: more variance, lower rate are more uncertain
     v1 = _uniform(rng, 0.5, 1.5)
     v2 = float(f"{v1 * rng.uniform(1.5, 3.0):.4g}")
     ops.append(_compare_op(
-        "variance_chain", _closed_side(f"mvn:n=2,var={v2}"), _closed_side(f"mvn:n=2,var={v1}"),
+        "variance_chain" + tag, _closed_side(f"mvn:n=2,var={v2}"),
+        _closed_side(f"mvn:n=2,var={v1}"),
         PRECEDES, H("mvn", n=2, var=v2), H("mvn", n=2, var=v1), H_TOL_EXACT))
     t1 = _uniform(rng, 0.3, 0.8)
     t2 = float(f"{t1 * rng.uniform(1.5, 3.0):.4g}")
     ops.append(_compare_op(
-        "rate_chain", _closed_side(f"exprate:theta={t1}"), _closed_side(f"exprate:theta={t2}"),
+        "rate_chain" + tag, _closed_side(f"exprate:theta={t1}"),
+        _closed_side(f"exprate:theta={t2}"),
         PRECEDES, H("exprate", theta=t1), H("exprate", theta=t2), H_TOL_EXACT))
 
     # a dilation by s > 1 spreads a density: it is majorised by the original
@@ -363,17 +351,43 @@ def compare(seed):
     wide = mix.dilated(s)
     h_mix = mix.entropy()
     ops.append(_compare_op(
-        "mixture_dilation", _density_side(wide, *wide.support), _density_side(mix, *mix.support),
-        PRECEDES, h_mix + math.log(s), h_mix, H_TOL_TABLE))
+        "mixture_dilation" + tag, _density_side(wide, *wide.support),
+        _density_side(mix, *mix.support), PRECEDES, h_mix + math.log(s), h_mix, H_TOL_TABLE))
 
     # closed form against a user density: a Beta on [0, 1] majorises a rate
     # below 1, whose DR starts lower and never reaches 1 on [0, 1]
     a3, b3, t3 = _uniform(rng, 1.5, 5.0), _uniform(rng, 1.5, 5.0), _uniform(rng, 0.5, 1.0)
     ops.append(_compare_op(
-        "rate_vs_beta", _closed_side(f"exprate:theta={t3}"),
+        "rate_vs_beta" + tag, _closed_side(f"exprate:theta={t3}"),
         _density_side(refs.beta_pdf(a3, b3), 0.0, 1.0), PRECEDES,
         H("exprate", theta=t3), refs.beta_entropy(a3, b3), H_TOL_TABLE))
-    return Workload(ops, len(ops))
+    return ops
+
+
+def compare(seed):
+    rng = np.random.default_rng(seed)
+    H = refs.family_entropy
+    z_cross = refs.mvn1_exp1_crossing()
+
+    def one_crossing(problems, out):
+        c = out["crossings"]
+        if len(c) != 1 or abs(c[0] - z_cross) > 1e-3:
+            problems.append(f"crossings {c}, want one within 1e-3 of {z_cross:.6f}")
+
+    # inputs fixed, independent of the seed, once per round
+    ops = [
+        _compare_op("mvn_vs_exp", _closed_side("mvn:n=1"), _closed_side("exp:n=1"),
+                    "incomparable", H("mvn", n=1, var=1.0), 1.0, H_TOL_EXACT,
+                    extra=one_crossing),
+        # more dimensions are more uncertain
+        _compare_op("dimension_chain", _closed_side("exp:n=3"), _closed_side("exp:n=2"),
+                    PRECEDES, 3.0, 2.0, H_TOL_EXACT),
+    ]
+    draws = [_compare_instance(rng, f"/{i}") for i in range(INSTANCES)]
+    warmup = len(ops) + len(draws[0])  # the fixed ops and the first draw
+    for draw in draws:
+        ops += draw
+    return Workload(ops, warmup)
 
 
 # ---------------------------------------------------------------------------
