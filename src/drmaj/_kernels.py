@@ -1,33 +1,14 @@
-"""Hot numeric kernels, with an optional compiled build.
-
-Setting the environment variable ``DRMAJ_NUMBA`` to 1/true/yes/on selects
-numba-compiled versions at import time when numba is installed; otherwise the
-vectorised numpy implementations run. Both variants are importable for
-benchmarking; results agree up to floating-point summation order.
-"""
-
-from __future__ import annotations
-
-import math
-import os
+"""KDE evaluation kernel: the empirical pipeline's hot loop, in numpy."""
 
 import numpy as np
 
-__all__ = [
-    "NUMBA_ACTIVE",
-    "kde_eval",
-    "kde_eval_numpy",
-    "kde_eval_numba",
-    "pava_nonincreasing",
-    "pava_nonincreasing_numpy",
-    "pava_nonincreasing_numba",
-]
+__all__ = ["kde_eval"]
 
 # chunk size keeps the (points x centers) distance buffer near 32 MB
 _CHUNK_FLOATS = 2**22
 
 
-def kde_eval_numpy(points, centers, bandwidths):
+def kde_eval(points, centers, bandwidths):
     """Product-Gaussian mixture density at ``points``.
 
     points: (N, n); centers: (m, n); bandwidths: (n,) positive. Returns (N,).
@@ -43,102 +24,3 @@ def kde_eval_numpy(points, centers, bandwidths):
         d = (pts[a : a + step, None, :] - cen[None, :, :]) / h
         out[a : a + step] = np.exp(-0.5 * np.einsum("pmn,pmn->pm", d, d)).sum(axis=1)
     return norm * out
-
-
-def pava_nonincreasing_numpy(values):
-    """Least-squares projection onto nonincreasing sequences (PAVA)."""
-    y = np.asarray(values, dtype=np.float64)
-    n = y.size
-    vals = np.empty(n, dtype=np.float64)
-    cnts = np.empty(n, dtype=np.int64)
-    k = 0
-    for i in range(n):
-        vals[k] = y[i]
-        cnts[k] = 1
-        k += 1
-        while k > 1 and vals[k - 1] > vals[k - 2]:
-            tot = cnts[k - 1] + cnts[k - 2]
-            vals[k - 2] = (vals[k - 1] * cnts[k - 1] + vals[k - 2] * cnts[k - 2]) / tot
-            cnts[k - 2] = tot
-            k -= 1
-    out = np.empty(n, dtype=np.float64)
-    pos = 0
-    for b in range(k):
-        out[pos : pos + cnts[b]] = vals[b]
-        pos += cnts[b]
-    return out
-
-
-def _flag_on(name):
-    return os.environ.get(name, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-kde_eval_numba = None
-pava_nonincreasing_numba = None
-NUMBA_ACTIVE = False
-
-try:  # compiled variants exist whenever numba is importable
-    import numba
-
-    @numba.njit(parallel=True, cache=True)
-    def _kde_eval_jit(points, centers, bandwidths, norm):  # pragma: no cover
-        npts = points.shape[0]
-        m = centers.shape[0]
-        n = centers.shape[1]
-        out = np.empty(npts, dtype=np.float64)
-        for p in numba.prange(npts):
-            acc = 0.0
-            for i in range(m):
-                q = 0.0
-                for j in range(n):
-                    d = (points[p, j] - centers[i, j]) / bandwidths[j]
-                    q += d * d
-                acc += math.exp(-0.5 * q)
-            out[p] = norm * acc
-        return out
-
-    def kde_eval_numba(points, centers, bandwidths):
-        pts = np.ascontiguousarray(points, dtype=np.float64)
-        cen = np.ascontiguousarray(centers, dtype=np.float64)
-        h = np.ascontiguousarray(bandwidths, dtype=np.float64)
-        norm = 1.0 / (cen.shape[0] * np.prod(np.sqrt(2.0 * np.pi) * h))
-        return _kde_eval_jit(pts, cen, h, float(norm))
-
-    @numba.njit(cache=True)
-    def _pava_jit(y):  # pragma: no cover
-        n = y.size
-        vals = np.empty(n, dtype=np.float64)
-        cnts = np.empty(n, dtype=np.int64)
-        k = 0
-        for i in range(n):
-            vals[k] = y[i]
-            cnts[k] = 1
-            k += 1
-            while k > 1 and vals[k - 1] > vals[k - 2]:
-                tot = cnts[k - 1] + cnts[k - 2]
-                vals[k - 2] = (
-                    vals[k - 1] * cnts[k - 1] + vals[k - 2] * cnts[k - 2]
-                ) / tot
-                cnts[k - 2] = tot
-                k -= 1
-        out = np.empty(n, dtype=np.float64)
-        pos = 0
-        for b in range(k):
-            for t in range(cnts[b]):
-                out[pos + t] = vals[b]
-            pos += cnts[b]
-        return out
-
-    def pava_nonincreasing_numba(values):
-        return _pava_jit(np.ascontiguousarray(values, dtype=np.float64))
-
-    NUMBA_ACTIVE = _flag_on("DRMAJ_NUMBA")
-except ImportError:  # numba not installed; numpy paths only
-    pass
-
-if NUMBA_ACTIVE:
-    kde_eval = kde_eval_numba
-    pava_nonincreasing = pava_nonincreasing_numba
-else:
-    kde_eval = kde_eval_numpy
-    pava_nonincreasing = pava_nonincreasing_numpy

@@ -93,16 +93,14 @@ def _value_thresholds(vmax, n_grid, floor_ratio):
     return np.unique(np.concatenate([base, top]))[::-1]
 
 
-def _pdf_from_measure(
-    measure,
-    vmax,
-    n_grid=VALUE_GRID_POINTS,
-    floor_ratio=VALUE_FLOOR_RATIO,
-    exact_inverse=None,
-    mass_tol=1e-5,
-    name="",
-):
-    """Invert a nonincreasing measure function into a tabulated DrPdf."""
+def _pdf_from_measure(measure, maxima, n_grid, floor_ratio):
+    """Invert a mixture's nonincreasing measure function into a tabulated DrPdf.
+
+    ``maxima`` are the component maxima on the mixture's value axis; the
+    largest is the mixture's maximum, and the measure at each smaller one is
+    attached as a ``kink_candidates`` entry.
+    """
+    vmax = max(maxima)
     if not math.isfinite(vmax) or vmax <= 0.0:
         raise ValueError("mixture has degenerate value range; cannot invert")
     thresholds = _value_thresholds(vmax, n_grid, floor_ratio)
@@ -110,7 +108,10 @@ def _pdf_from_measure(
     if not np.all(np.isfinite(measures)):
         raise ValueError("measure function produced non-finite values")
     table = _swap_axes_to_table(measures, thresholds, vmax)
-    return DrPdf(table=table, inverse=exact_inverse, mass_tol=mass_tol, name=name)
+    out = DrPdf(table=table, inverse=measure, mass_tol=1e-5)
+    cand_v = sorted({m for m in maxima if m < vmax * (1.0 - 1e-12)}, reverse=True)
+    out.kink_candidates = np.asarray([float(measure(v)) for v in cand_v])
+    return out
 
 
 def inverse_mix(f1, f2, w=0.5, n_grid=VALUE_GRID_POINTS, floor_ratio=VALUE_FLOOR_RATIO):
@@ -142,8 +143,6 @@ def inverse_mix_many(
     if np.any(wts <= 0.0) or abs(float(wts.sum()) - 1.0) > 1e-9:
         raise ValueError("weights must be positive and sum to 1")
     measures = [f.measure_at for f in pdfs]
-    scaled_maxima = [w * f.max_value for w, f in zip(wts, pdfs)]
-    vmax = max(scaled_maxima)
 
     def mixed(v):
         v = np.asarray(v, dtype=np.float64)
@@ -152,12 +151,8 @@ def inverse_mix_many(
             total = total + np.asarray(m(v / w), dtype=np.float64)
         return total
 
-    out = _pdf_from_measure(
-        mixed, vmax, n_grid=n_grid, floor_ratio=floor_ratio, exact_inverse=mixed
-    )
-    cand_v = sorted({m for m in scaled_maxima if m < vmax * (1.0 - 1e-12)}, reverse=True)
-    out.kink_candidates = np.asarray([float(mixed(v)) for v in cand_v])
-    return out
+    scaled_maxima = [w * f.max_value for w, f in zip(wts, pdfs)]
+    return _pdf_from_measure(mixed, scaled_maxima, n_grid, floor_ratio)
 
 
 def direct_mix(f1, f2, w=0.5, n_grid=VALUE_GRID_POINTS, floor_ratio=VALUE_FLOOR_RATIO):
@@ -172,7 +167,6 @@ def direct_mix(f1, f2, w=0.5, n_grid=VALUE_GRID_POINTS, floor_ratio=VALUE_FLOOR_
     _require_pdf(f2, "direct_mix")
     a = MixWeight.coerce(w).alpha
     m1, m2 = f1.measure_at, f2.measure_at
-    vmax = max(f1.max_value, f2.max_value)
 
     def mixed(v):
         v = np.asarray(v, dtype=np.float64)
@@ -180,15 +174,7 @@ def direct_mix(f1, f2, w=0.5, n_grid=VALUE_GRID_POINTS, floor_ratio=VALUE_FLOOR_
             m2(v), dtype=np.float64
         )
 
-    out = _pdf_from_measure(
-        mixed, vmax, n_grid=n_grid, floor_ratio=floor_ratio, exact_inverse=mixed
-    )
-    cand_v = sorted(
-        {m for m in (f1.max_value, f2.max_value) if m < vmax * (1.0 - 1e-12)},
-        reverse=True,
-    )
-    out.kink_candidates = np.asarray([float(mixed(v)) for v in cand_v])
-    return out
+    return _pdf_from_measure(mixed, [f1.max_value, f2.max_value], n_grid, floor_ratio)
 
 
 def inverse_mix_discrete(p, q, w=0.5):

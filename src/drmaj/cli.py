@@ -193,7 +193,11 @@ def cmd_empirical(args):
 
     if args.bins:
         k1, k2 = args.bins
-        counts = bin_2d(data, k1, k2)
+        try:  # wrong column or bin count: bin_2d's errors are all usage errors
+            counts = bin_2d(data, k1, k2)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         paths = _discrete_outputs(counts, args, manifest_extra)
         paths.insert(
             0,

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import ndtr
 from scipy.stats import qmc
 
-from ._kernels import kde_eval, pava_nonincreasing
+from ._kernels import kde_eval
 from .order import ProbVector
 from .rearrange import DrCdf, DrPdf, MeasureFn, TabulatedFn, _swap_axes_to_table
 
@@ -131,12 +131,9 @@ class KdeModel:
         hi = self.centers.max(axis=0) + margin * self.bandwidths
         return np.column_stack([lo, hi])
 
-    def max_hint(self, extra_points=None):
-        """Density maximum estimated over the kernel centers (+ extra points)."""
-        best = float(np.max(self(self.centers)))
-        if extra_points is not None and len(extra_points):
-            best = max(best, float(np.max(self(extra_points))))
-        return best
+    def max_hint(self):
+        """Density maximum estimated over the kernel centers."""
+        return float(np.max(self(self.centers)))
 
 
 def fit_kde(data: Dataset, rule="silverman", h=None) -> KdeModel:
@@ -227,15 +224,14 @@ def empirical_dr(kde: KdeModel, cfg: McConfig) -> tuple[MeasureFn, DrPdf]:
 
     For M geometric thresholds y in (max * 1e-6, max], the measure estimate
     is (number of sampled points with density strictly above y) / N times
-    the box volume. Isotonic projection enforces monotonicity before the
-    axis swap.
+    the box volume. Counts against falling thresholds never decrease, so the
+    measures are monotone by construction and go to the axis swap as counted.
     """
     box = _resolve_box(kde, cfg)
     points = _sample_box(box, cfg)
     volume = float(np.prod(box[:, 1] - box[:, 0]))
     dens = kde(points)
-    fmax = kde.max_hint(extra_points=None)
-    fmax = max(fmax, float(dens.max()))
+    fmax = max(kde.max_hint(), float(dens.max()))
 
     thresholds = np.geomspace(fmax, fmax * THRESHOLD_FLOOR_RATIO, cfg.n_thresholds)
     dens_sorted = np.sort(dens)
@@ -246,16 +242,13 @@ def empirical_dr(kde: KdeModel, cfg: McConfig) -> tuple[MeasureFn, DrPdf]:
             RuntimeWarning,
             stacklevel=2,
         )
-    raw = above * (volume / dens.size)
-    repaired = pava_nonincreasing(raw[::-1])[::-1]  # nondecreasing as y falls
-
-    measure = MeasureFn(thresholds=thresholds, measures=repaired)
-    table = _swap_axes_to_table(repaired, thresholds, fmax)
+    measures = above * (volume / dens.size)
+    measure = MeasureFn(thresholds=thresholds, measures=measures)
+    table = _swap_axes_to_table(measures, thresholds, fmax)
     dr = DrPdf(table=table, mass_tol=None, name="empirical")
-    dr.mc_raw_measures = raw
+    share = measures / volume
     dr.mc_standard_error = float(
-        np.max(np.sqrt(np.clip(raw / volume * (1 - raw / volume), 0, None) / dens.size))
-        * volume
+        np.max(np.sqrt(np.clip(share * (1 - share), 0, None) / dens.size)) * volume
     )
     return measure, dr
 

@@ -175,17 +175,7 @@ def majorizes_cdf(f1, f2, grid=None, tol=None):
     everywhere (within ``tol``).  Default tolerance is 1e-9 when both cdfs
     are closed-form and 1e-3 when either is tabulated.
     """
-    if not isinstance(f1, DrCdf) or not isinstance(f2, DrCdf):
-        raise TypeError("majorizes_cdf expects DrCdf arguments")
-    if grid is None:
-        grid = default_comparison_grid(f1, f2)
-    pts = grid.points if isinstance(grid, Grid) else np.asarray(grid, dtype=np.float64)
-    if pts.size < 64:
-        raise ValueError("comparison grid too coarse: need at least 64 points")
-    if tol is None:
-        tol = 1e-9 if (f1.table is None and f2.table is None) else 1e-3
-    d = f2(pts) - f1(pts)
-    return _verdict_from_gaps(d, tol)
+    return compare_cdfs(f1, f2, grid=grid, tol=tol).verdict
 
 
 @dataclass(frozen=True)

@@ -52,18 +52,24 @@ def f4_cdf_inverse(p):
     return np.maximum(r, 0.0) ** 2
 
 
+def _f5_w(z):
+    # w = z / expm1(z) and its derivative, written in exp(-z) so that large
+    # z underflows to 0 instead of overflowing
+    e = np.exp(-z)
+    d = -np.expm1(-z)
+    return z * e / d, (d - z) * e / d**2
+
+
 def f5_cdf(z):
     z = np.asarray(z, dtype=np.float64)
-    w = np.where(z > 0, z / np.expm1(np.where(z > 0, z, 1.0)), 1.0)
+    w = np.where(z > 0, _f5_w(np.where(z > 0, z, 1.0))[0], 1.0)
     return np.exp(-w) - np.exp(-z - w)
 
 
 def f5_pdf(z):
     z = np.asarray(z, dtype=np.float64)
     zs = np.where(z > 0, z, 1e-12)
-    em = np.expm1(zs)
-    w = zs / em
-    wp = (em - zs * np.exp(zs)) / em**2
+    w, wp = _f5_w(zs)
     out = -wp * np.exp(-w) + (1.0 + wp) * np.exp(-zs - w)
     return np.where(z > 0, out, np.exp(-1.0))
 

@@ -222,6 +222,24 @@ def test_empirical_binning_mode(tmp_path, capsys):
     assert table[:, 2].sum() == pytest.approx(200)
 
 
+@pytest.mark.parametrize("cols, bins, msg", [
+    (3, ("3", "3"), "exactly two columns"),
+    (2, ("1", "3"), "at least 2 bins"),
+])
+def test_empirical_bad_binning_is_usage_error(tmp_path, capsys, cols, bins, msg):
+    rng = np.random.default_rng(10)
+    rows = rng.standard_normal((60, cols))
+    lines = [",".join(f"x{j}" for j in range(cols))]
+    lines += [",".join(f"{float(v)}" for v in r) for r in rows]
+    data = tmp_path / "points.csv"
+    data.write_text("\n".join(lines) + "\n")
+    rc, out, err = run(capsys, "empirical", str(data), "--bins", *bins,
+                       "--out", str(tmp_path))
+    assert rc == 2
+    assert out == ""
+    assert msg in err
+
+
 def test_empirical_missing_file(capsys):
     rc, _, err = run(capsys, "empirical", "no_such_file.csv")
     assert rc == 2

@@ -7,6 +7,7 @@ from drmaj.empirical import (
     Dataset,
     KdeModel,
     McConfig,
+    _sample_box,
     bin_2d,
     discrete_empirical_dr,
     empirical_dr,
@@ -146,14 +147,22 @@ def test_low_discrepancy_sampler():
     assert sup_err(dr) <= 0.005
 
 
-def test_isotonic_repair_stays_within_noise():
-    measure, dr = run(20_000)
-    raw = dr.mc_raw_measures
-    assert dr.mc_standard_error > 0
-    # repaired measures are nondecreasing as thresholds fall and never move
-    # farther from the raw estimates than a few standard errors
+def test_measures_are_exact_superlevel_counts():
+    rng = np.random.default_rng(5)
+    model = KdeModel(rng.standard_normal((5, 2)), np.array([0.6, 0.9]))
+    box = model.default_box(margin=5.0)
+    cfg = McConfig(n_points=2000, n_thresholds=64, bounding_box=box, seed=3)
+    measure, dr = empirical_dr(model, cfg)
+    volume = float(np.prod(box[:, 1] - box[:, 0]))
+    dens = model(_sample_box(box, cfg))
+    counts = np.array([(dens > y).sum() for y in measure.thresholds])
+    # one count per threshold, no smoothing: any miscount moves a value by
+    # volume / N, far above the rounding allowed here
+    np.testing.assert_allclose(
+        measure.measures, counts * volume / cfg.n_points, rtol=1e-14, atol=0.0
+    )
     assert np.all(np.diff(measure.measures) >= 0.0)
-    assert np.max(np.abs(raw - measure.measures)) <= 3.0 * dr.mc_standard_error
+    assert dr.mc_standard_error > 0
 
 
 def test_box_mass_gate():

@@ -1,16 +1,9 @@
-"""Numeric kernel tests: KDE evaluation, the PAVA projection, and the
-numba/numpy dispatch controlled by DRMAJ_NUMBA."""
+"""KDE evaluation kernel tests."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from scipy.optimize import isotonic_regression
 
 from drmaj import _kernels as kern
 
@@ -26,7 +19,7 @@ def test_kde_eval_manual_two_centers():
     centers = np.array([[0.0, 0.0], [2.0, 0.0]])
     h = np.array([1.0, 0.5])
     pts = np.array([[0.0, 0.0], [1.0, -1.0]])
-    got = kern.kde_eval_numpy(pts, centers, h)
+    got = kern.kde_eval(pts, centers, h)
 
     norm = 1.0 / (2 * 2.0 * np.pi * 1.0 * 0.5)
     exp0 = norm * (1.0 + math.exp(-0.5 * 4.0))
@@ -41,102 +34,13 @@ def test_kde_eval_chunking_matches_dense():
     h = np.array([0.4, 0.9])
     pts = rng.standard_normal((1300, 2)) * 2.0
     # step = 2^22 // (4096*2) = 512, so this walks three chunks
-    got = kern.kde_eval_numpy(pts, centers, h)
+    got = kern.kde_eval(pts, centers, h)
     np.testing.assert_allclose(got, _dense_kde(pts, centers, h), rtol=1e-12)
 
 
 def test_kde_eval_single_center_is_gaussian():
     h = np.array([1.5])
     pts = np.linspace(-3.0, 3.0, 11)[:, None]
-    got = kern.kde_eval_numpy(pts, np.zeros((1, 1)), h)
+    got = kern.kde_eval(pts, np.zeros((1, 1)), h)
     ref = np.exp(-0.5 * (pts[:, 0] / 1.5) ** 2) / (1.5 * np.sqrt(2 * np.pi))
     np.testing.assert_allclose(got, ref, rtol=1e-14)
-
-
-def test_pava_matches_isotonic_oracle():
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        y = rng.standard_normal(rng.integers(1, 80)) * 10.0
-        got = kern.pava_nonincreasing_numpy(y)
-        ref = isotonic_regression(y, increasing=False).x
-        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
-
-
-def test_pava_preserves_monotone_input():
-    y = np.array([5.0, 4.0, 4.0, 1.5, 0.0, 0.0])
-    np.testing.assert_array_equal(kern.pava_nonincreasing_numpy(y), y)
-
-
-@given(
-    st.lists(
-        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-        min_size=1,
-        max_size=120,
-    )
-)
-@settings(max_examples=60, deadline=None)
-def test_pava_projection_properties(raw):
-    y = np.asarray(raw)
-    out = kern.pava_nonincreasing_numpy(y)
-    scale = max(1.0, np.abs(y).max())
-    assert np.all(np.diff(out) <= 1e-9 * scale)
-    # total mass is preserved and the projection is idempotent
-    assert out.sum() == pytest.approx(y.sum(), abs=1e-6 * scale * y.size)
-    np.testing.assert_allclose(
-        kern.pava_nonincreasing_numpy(out), out, rtol=0, atol=1e-9 * scale
-    )
-    ref = isotonic_regression(y, increasing=False).x
-    np.testing.assert_allclose(out, ref, rtol=1e-9, atol=1e-9 * scale)
-
-
-needs_numba = pytest.mark.skipif(
-    kern.kde_eval_numba is None, reason="numba not installed"
-)
-
-
-@needs_numba
-def test_numba_kde_matches_numpy():
-    rng = np.random.default_rng(3)
-    centers = rng.standard_normal((37, 3))
-    h = np.array([0.7, 1.1, 0.4])
-    pts = rng.standard_normal((500, 3))
-    a = kern.kde_eval_numpy(pts, centers, h)
-    b = kern.kde_eval_numba(pts, centers, h)
-    np.testing.assert_allclose(b, a, rtol=1e-12)
-
-
-@needs_numba
-def test_numba_pava_matches_numpy():
-    rng = np.random.default_rng(4)
-    y = rng.standard_normal(400).cumsum()
-    np.testing.assert_array_equal(
-        kern.pava_nonincreasing_numba(y), kern.pava_nonincreasing_numpy(y)
-    )
-
-
-def _dispatch_report(env_value):
-    env = {k: v for k, v in os.environ.items() if k != "DRMAJ_NUMBA"}
-    if env_value is not None:
-        env["DRMAJ_NUMBA"] = env_value
-    code = (
-        "from drmaj import _kernels as k;"
-        "print(k.NUMBA_ACTIVE, k.kde_eval is k.kde_eval_numpy,"
-        " k.pava_nonincreasing is k.pava_nonincreasing_numpy)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    return out.stdout.split()
-
-
-def test_dispatch_defaults_to_numpy():
-    assert _dispatch_report(None) == ["False", "True", "True"]
-    assert _dispatch_report("0") == ["False", "True", "True"]
-    assert _dispatch_report("maybe") == ["False", "True", "True"]
-
-
-@needs_numba
-def test_dispatch_env_flag_selects_numba():
-    for value in ("1", "true", "YES", " on "):
-        assert _dispatch_report(value) == ["True", "False", "False"]
