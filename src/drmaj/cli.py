@@ -139,7 +139,10 @@ def _parse_bounds(text, dim):
         raise ValueError(
             f"--bounds needs {2 * dim} comma-separated numbers (lo,hi per dimension)"
         )
-    return np.asarray(vals, dtype=np.float64).reshape(dim, 2)
+    box = np.asarray(vals, dtype=np.float64).reshape(dim, 2)
+    if np.any(box[:, 1] <= box[:, 0]):
+        raise ValueError("--bounds needs lo < hi in every dimension")
+    return box
 
 
 def _discrete_outputs(counts, args, manifest_extra):
@@ -216,20 +219,17 @@ def cmd_empirical(args):
         return EXIT_OK
 
     kde = fit_kde(data, "silverman")
-    box = None
-    if args.bounds:
-        try:
-            box = _parse_bounds(args.bounds, data.n)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    cfg = McConfig(
-        n_points=args.mc_samples,
-        n_thresholds=args.thresholds,
-        bounding_box=box,
-        seed=args.seed,
-        sampler=args.sampler,
-    )
+    try:  # bad --bounds, --mc-samples or --thresholds: usage errors
+        cfg = McConfig(
+            n_points=args.mc_samples,
+            n_thresholds=args.thresholds,
+            bounding_box=_parse_bounds(args.bounds, data.n) if args.bounds else None,
+            seed=args.seed,
+            sampler=args.sampler,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     measure, dr = empirical_dr(kde, cfg)
     z_star = np.linspace(0.0, dr.table.grid[-1], args.grid)
     cdf = empirical_dr_cdf(dr, z_star)

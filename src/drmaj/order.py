@@ -314,18 +314,14 @@ def dilation_witness(p, q, tol=1e-13):
         k = int(after[0])
         delta = min(y[j] - x[j], x[k] - y[k])
         lam = 1.0 - delta / (y[j] - y[k])
-        t = np.eye(n)
-        t[j, j] = t[k, k] = lam
-        t[j, k] = t[k, j] = 1.0 - lam
-        y = t @ y
-        m = t @ m
+        # the T-transform lam*I + (1-lam)*swap(j, k) mixes rows j and k only
+        rows = [j, k]
+        y[rows] = lam * y[rows] + (1.0 - lam) * y[rows[::-1]]
+        m[rows] = lam * m[rows] + (1.0 - lam) * m[rows[::-1]]
         n_factors += 1
     # p = Pi_p^T  M  Pi_q  q  with Pi selecting the sorted orders
-    pi_p = np.zeros((n, n))
-    pi_p[np.arange(n), perm_p] = 1.0
-    pi_q = np.zeros((n, n))
-    pi_q[np.arange(n), perm_q] = 1.0
-    full = pi_p.T @ m @ pi_q
+    full = np.empty((n, n))
+    full[perm_p[:, None], perm_q] = m
     return DoublyStochastic(full, n_factors=n_factors)
 
 

@@ -193,6 +193,29 @@ def test_empirical_bad_bounds_is_usage_error(tmp_path, capsys):
     assert "lo,hi per dimension" in err
 
 
+@pytest.mark.parametrize(
+    "opts, message",
+    [
+        (("--mc-samples", "50"), "n_points must be at least 100"),
+        (("--thresholds", "10"), "n_thresholds must be at least 64"),
+        (("--bounds", "1,0,0,1"), "lo < hi"),
+    ],
+)
+def test_empirical_bad_mc_options_are_usage_errors(tmp_path, capsys, opts, message):
+    data = _write_points(tmp_path / "points.csv")
+    rc, _, err = run(capsys, "empirical", str(data), *opts, "--out", str(tmp_path))
+    assert rc == 2
+    assert message in err
+
+
+def test_empirical_box_missing_mass_is_numeric_error(tmp_path, capsys):
+    data = _write_points(tmp_path / "points.csv")
+    rc, _, err = run(capsys, "empirical", str(data), "--bounds", "0,1,0,1",
+                     "--out", str(tmp_path))
+    assert rc == 3
+    assert "widen the box" in err
+
+
 def test_empirical_discrete_counts(tmp_path, capsys):
     counts = tmp_path / "counts.csv"
     counts.write_text("3,1\n2,2\n")

@@ -32,8 +32,8 @@ def test_kde_eval_chunking_matches_dense():
     rng = np.random.default_rng(7)
     centers = rng.standard_normal((4096, 2))
     h = np.array([0.4, 0.9])
-    pts = rng.standard_normal((1300, 2)) * 2.0
-    # step = 2^22 // (4096*2) = 512, so this walks three chunks
+    pts = rng.standard_normal((2100, 2)) * 2.0
+    # step = 2^22 // 4096 = 1024 rows, so this walks three chunks
     got = kern.kde_eval(pts, centers, h)
     np.testing.assert_allclose(got, _dense_kde(pts, centers, h), rtol=1e-12)
 
@@ -44,3 +44,35 @@ def test_kde_eval_single_center_is_gaussian():
     got = kern.kde_eval(pts, np.zeros((1, 1)), h)
     ref = np.exp(-0.5 * (pts[:, 0] / 1.5) ** 2) / (1.5 * np.sqrt(2 * np.pi))
     np.testing.assert_allclose(got, ref, rtol=1e-14)
+
+
+def test_kde_eval_six_dimensions_matches_dense():
+    rng = np.random.default_rng(11)
+    centers = rng.standard_normal((50, 6))
+    h = np.linspace(0.5, 1.5, 6)
+    pts = rng.standard_normal((300, 6))
+    got = kern.kde_eval(pts, centers, h)
+    np.testing.assert_allclose(got, _dense_kde(pts, centers, h), rtol=1e-12)
+
+
+def test_kde_eval_is_translation_invariant():
+    # an uncentred distance expansion loses ~1e-3 relative at this offset
+    rng = np.random.default_rng(3)
+    centers = rng.standard_normal((200, 2))
+    h = np.array([0.3, 0.5])
+    pts = rng.uniform(-3.0, 3.0, (1000, 2))
+    offset = np.array([1e6, -1e6])
+    ref = kern.kde_eval(pts, centers, h)
+    got = kern.kde_eval(pts + offset, centers + offset, h)
+    np.testing.assert_allclose(got, ref, rtol=1e-8)
+    np.testing.assert_allclose(ref, _dense_kde(pts, centers, h), rtol=1e-12)
+
+
+def test_kde_eval_far_points_are_exactly_zero():
+    rng = np.random.default_rng(5)
+    centers = rng.standard_normal((30, 2))
+    h = np.array([0.2, 0.4])
+    far = centers.max(axis=0) + 50.0 * h
+    pts = np.vstack([far, -far, far * [1.0, -1.0]])
+    got = kern.kde_eval(pts, centers, h)
+    assert np.all(got == 0.0)

@@ -127,6 +127,52 @@ def test_dilation_witness_soundness():
         assert w.n_factors <= len(p) - 1
 
 
+def _dense_witness(p, q, tol=1e-13):
+    # reference: each T-transform as a dense n x n factor, permutation matrices
+    n = p.size
+    perm_p = np.argsort(-p, kind="stable")
+    perm_q = np.argsort(-q, kind="stable")
+    x = p[perm_p]
+    y = q[perm_q].copy()
+    m = np.eye(n)
+    n_factors = 0
+    for _ in range(n):
+        gaps = y - x
+        if np.max(np.abs(gaps)) <= tol:
+            break
+        j = int(np.nonzero(gaps > tol)[0][-1])
+        deficit = np.nonzero(gaps < -tol)[0]
+        k = int(deficit[deficit > j][0])
+        delta = min(y[j] - x[j], x[k] - y[k])
+        lam = 1.0 - delta / (y[j] - y[k])
+        t = np.eye(n)
+        t[j, j] = t[k, k] = lam
+        t[j, k] = t[k, j] = 1.0 - lam
+        y = t @ y
+        m = t @ m
+        n_factors += 1
+    pi_p = np.zeros((n, n))
+    pi_p[np.arange(n), perm_p] = 1.0
+    pi_q = np.zeros((n, n))
+    pi_q[np.arange(n), perm_q] = 1.0
+    return pi_p.T @ m @ pi_q, n_factors
+
+
+@pytest.mark.parametrize("side", [14, 20])
+def test_dilation_witness_matches_dense_construction(side):
+    # a table and its circular 5-point blur, as in binned 2-d data (n = side^2)
+    rng = np.random.default_rng(side)
+    table = rng.gamma(0.5, size=(side, side))
+    table /= table.sum()
+    blur = (4.0 * table + sum(np.roll(table, s, axis=a) for s in (1, -1) for a in (0, 1))) / 8.0
+    q, p = table.ravel(), blur.ravel()
+    w = dilation_witness(p, q)
+    ref, n_factors = _dense_witness(p, q)
+    assert w.n_factors == n_factors
+    np.testing.assert_allclose(w.matrix, ref, rtol=0, atol=1e-13)
+    assert np.max(np.abs(p - w.matrix @ q)) <= 1e-10
+
+
 def test_dilation_witness_requires_order():
     with pytest.raises(ValueError, match="no dilation witness"):
         dilation_witness([0.9, 0.1], [0.6, 0.4])
