@@ -186,6 +186,8 @@ class McConfig:
             box = np.asarray(self.bounding_box, dtype=np.float64)
             if not np.all(np.isfinite(box)):
                 raise ValueError("bounding box must be finite")
+            if np.any(np.diff(box.reshape(-1, 2), axis=1) <= 0):
+                raise ValueError("bounding box must have lo < hi in every dimension")
             object.__setattr__(self, "bounding_box", box)
 
 
@@ -194,8 +196,6 @@ def _resolve_box(kde, cfg):
         box = kde.default_box()
     else:
         box = np.asarray(cfg.bounding_box, dtype=np.float64).reshape(kde.dim, 2)
-    if np.any(box[:, 1] <= box[:, 0]):
-        raise ValueError("bounding box must have lo < hi in every dimension")
     mass = kde.mass_in_box(box)
     if mass < BOX_MASS_MIN:
         raise ValueError(

@@ -119,6 +119,8 @@ def test_mc_config_validation():
         McConfig(sampler="halton")
     with pytest.raises(ValueError, match="seed"):
         McConfig(seed=-1)
+    with pytest.raises(ValueError, match="lo < hi"):
+        McConfig(bounding_box=np.array([[-1.0, 1.0], [2.0, 2.0]]))
 
 
 def test_exact_bvn_recovers_closed_form():
