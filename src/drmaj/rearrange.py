@@ -37,7 +37,7 @@ __all__ = [
     "eval_cdf",
 ]
 
-#: minimum gap between tabulated knots; steps are stored as two knots this far apart
+#: gap between the two knots of a tabulated step (one double where that rounds away)
 KNOT_GAP = 1e-12
 
 #: tolerance for monotonicity validation of tabulated data
@@ -416,18 +416,55 @@ def _probe_grid(z_hi, n=2049):
     return np.linspace(0.0, z_hi, n)
 
 
+def _thin_knots(z):
+    """Mask of the knots kept, greedily, more than 1e-7 of the span apart.
+
+    Starting from the first knot, the next kept knot is the first one lying
+    more than that beyond the last kept knot; the final knot then replaces
+    the last kept one.
+    """
+    n = z.size
+    thr = max(float(z[-1] - z[0]), 1e-300) * 1e-7
+    keep = np.empty(n, dtype=bool)
+    keep[0] = True
+    # a knot that far from its predecessor is that far from any kept knot
+    keep[1:] = np.diff(z) > thr
+    near = np.flatnonzero(~keep)
+    if near.size:
+        # the others form clusters, each after a kept anchor, and the kept
+        # knots of a cluster are its anchor a, nxt[a], nxt[nxt[a]], ...
+        # where nxt[i] is the first knot j after i with z[j] - z[i] > thr
+        src = np.union1d(near - 1, near)
+        nxt = np.searchsorted(z, z[src] + thr, side="right")
+        # a knot equal to the rounded z[i] + thr can still pass the test;
+        # for knots the walk reaches (0, or above thr) it is the only miss
+        nxt -= (nxt - 1 > src) & (z[nxt - 1] - z[src] > thr)
+        # walk all clusters by pointer doubling, in about log2 of the
+        # longest walk passes; a step out of the cluster ends its walk
+        m = src.size
+        inside = (nxt < n) & ~keep[np.minimum(nxt, n - 1)]
+        jump = np.append(np.where(inside, np.searchsorted(src, nxt), m), m)
+        kept = np.flatnonzero(keep[src])
+        while True:
+            more = jump[kept]
+            more = more[more < m]
+            if not more.size:
+                break
+            kept = np.concatenate([kept, more])
+            jump = jump[jump]
+        keep[src[kept]] = True
+    if not keep[-1]:
+        keep[np.flatnonzero(keep)[-1]] = False
+        keep[-1] = True
+    return keep
+
+
 def _concave_flag(z, v):
     # slope differences across near-duplicate knots are pure fp noise, so
     # coarsen to gaps of at least 1e-7 of the span before testing
-    span = max(float(z[-1] - z[0]), 1e-300)
-    kept = [0]
-    for i in range(1, z.size):
-        if z[i] - z[kept[-1]] > span * 1e-7:
-            kept.append(i)
-    if kept[-1] != z.size - 1:
-        kept[-1] = z.size - 1
-    zz = z[kept]
-    vv = v[kept]
+    keep = _thin_knots(z)
+    zz = z[keep]
+    vv = v[keep]
     if zz.size < 3:
         return True
     slopes = np.diff(vv) / np.diff(zz)
@@ -684,31 +721,56 @@ def _bisect_increasing(fn, targets, lo, hi, iters=80):
 # ---------------------------------------------------------------------------
 
 
+def _after(z):
+    """Knot just after ``z``: ``KNOT_GAP`` further on, or the next double if that rounds away."""
+    return np.maximum(z + KNOT_GAP, np.nextafter(z, np.inf))
+
+
+def _settle(x, step):
+    """Solve ``x[k] = step(k, x[k - 1])`` for ``k >= 1`` in place; ``x[0]`` is given.
+
+    ``step`` maps index and predecessor arrays elementwise.  Each pass
+    recomputes only the entries whose predecessor moved in the previous
+    pass, so the passes number one more than the longest chain of knots
+    pushing one another along; ``x`` is the starting guess.
+    """
+    todo = np.arange(1, x.size)
+    while todo.size:
+        new = step(todo, x[todo - 1])
+        moved = todo[new != x[todo]]
+        x[todo] = new
+        todo = moved[moved < x.size - 1] + 1
+    return x
+
+
 def _swap_axes_to_table(measures, thresholds, max_value):
-    """Turn (threshold, measure) samples into a strictly increasing DR table."""
-    zs = [0.0]
-    vs = [max_value]
+    """Turn (threshold, measure) samples into a strictly increasing DR table.
+
+    Thresholds fall and measures rise; each run of thresholds sharing one
+    measure becomes an entry knot at that measure and, for runs longer than
+    one threshold, a gap knot just after it carrying the run's last value.
+    An entry knot that would not lie beyond the previous knot is dropped,
+    and a gap knot then follows the previous knot instead.
+    """
     n = measures.size
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and measures[j + 1] - measures[i] <= 0.0:
-            j += 1
-        # run i..j shares one measure; keep the entry values at both ends
-        z = float(measures[i])
-        if z > zs[-1]:
-            zs.append(z)
-            vs.append(float(thresholds[i]))
-        if j > i:
-            zs.append(max(z, zs[-1]) + KNOT_GAP)
-            vs.append(float(thresholds[j]))
-        i = j + 1
-    zs = np.asarray(zs)
-    vs = np.asarray(vs)
-    # enforce strictly increasing abscissae
-    for k in range(1, zs.size):
-        if zs[k] <= zs[k - 1]:
-            zs[k] = zs[k - 1] + KNOT_GAP
+    # a run lasts while measures stay at or below its first one
+    top = np.maximum.accumulate(measures)
+    starts = np.concatenate([[0], np.flatnonzero(measures[1:] > top[:-1]) + 1])
+    ends = np.append(starts[1:] - 1, n - 1)
+    z = measures[starts]
+    multi = ends > starts
+
+    def last_knot(r, prev):
+        base = np.maximum(z[r - 1], prev)
+        return np.where(multi[r - 1], _after(base), base)
+
+    # last[r + 1]: the last knot once run r is placed; last[0] is z = 0
+    last = _settle(np.concatenate([[0.0], np.where(multi, _after(z), z)]), last_knot)
+    knots = np.column_stack([z, last[1:]])
+    vals = np.column_stack([thresholds[starts], thresholds[ends]])
+    emit = np.column_stack([z > last[:-1], multi])
+    zs = np.concatenate([[0.0], knots[emit]])
+    vs = np.concatenate([[max_value], vals[emit]])
     vs = np.minimum.accumulate(vs)
     return TabulatedFn(zs, vs, "nonincreasing")
 
@@ -824,20 +886,16 @@ def pdf_of_cdf(F, n=4097):
     if np.any(np.diff(slopes) > 1e-9 * max(float(slopes.max()), 1.0)):
         raise ValueError("cdf is not concave; its derivative is not a DR pdf")
     slopes = np.minimum.accumulate(slopes)
-    zs = [0.0]
-    vs = [float(slopes[0])]
-    for k in range(1, slopes.size):
-        zs.append(float(g[k]))
-        vs.append(float(slopes[k - 1]))
-        zs.append(float(g[k]) + KNOT_GAP)
-        vs.append(float(slopes[k]))
-    zs.append(float(g[-1]))
-    vs.append(float(slopes[-1]))
-    zs = np.asarray(zs)
-    for k in range(1, zs.size):
-        if zs[k] <= zs[k - 1]:
-            zs[k] = zs[k - 1] + KNOT_GAP
-    table = TabulatedFn(zs, np.asarray(vs), "nonincreasing")
+    # each inner knot g becomes g (left slope) and _after(g) (right slope);
+    # a knot not beyond its predecessor moves to just after it
+    inner = g[1:-1]
+    raw = np.concatenate([[0.0], np.column_stack([inner, _after(inner)]).ravel(), [g[-1]]])
+
+    def beyond(k, prev):
+        return np.where(raw[k] > prev, raw[k], _after(prev))
+
+    zs = _settle(raw.copy(), beyond)
+    table = TabulatedFn(zs, np.repeat(slopes, 2), "nonincreasing")
     return DrPdf(table=table, mass_tol=1e-3, name=F.name and f"pdf({F.name})")
 
 

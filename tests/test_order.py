@@ -24,8 +24,9 @@ from drmaj.order import (
     majorizes_matrix,
     schur_preservation_check,
     slice_compare,
+    _slice_integrals,
 )
-from drmaj.rearrange import DensityFn
+from drmaj.rearrange import DensityFn, DrPdf, TabulatedFn
 
 
 def test_discrete_verdicts():
@@ -205,6 +206,52 @@ def test_cdf_and_slice_verdicts_agree():
     fe, Fe = dr_exp_iid(1)
     assert majorizes_cdf(Fm, Fe) is OrderVerdict.INCOMPARABLE
     assert slice_compare(fm, fe) is OrderVerdict.INCOMPARABLE
+
+
+@pytest.mark.parametrize(
+    "levels, cause",
+    [([], "empty"), ([0.1, np.nan], "finite"), ([np.inf, 0.1], "finite"), ([0.1, -np.inf], "finite")],
+)
+def test_slice_compare_rejects_bad_level_grids(levels, cause):
+    f1, _ = dr_exp_iid(1)
+    f2, _ = dr_exp_iid(2)
+    with pytest.raises(ValueError, match=cause):
+        slice_compare(f1, f2, c_grid=np.asarray(levels, dtype=np.float64))
+
+
+def _loop_slice_integrals(z, v, c_levels):
+    """Reference: the per-level loop that the layer-cake sums replaced."""
+    w = np.diff(z)
+    v0 = v[:-1]
+    v1 = v[1:]
+    hi = np.maximum(v0, v1)
+    lo = np.minimum(v0, v1)
+    out = np.empty(c_levels.size)
+    for i, c in enumerate(c_levels):
+        above = lo >= c
+        area = np.where(above, 0.5 * (v0 + v1) * w - c * w, 0.0)
+        straddle = (~above) & (hi > c)
+        if np.any(straddle):
+            frac = (hi[straddle] - c) / (hi[straddle] - lo[straddle])
+            area[straddle] = 0.5 * (hi[straddle] - c) * (w[straddle] * frac)
+        out[i] = float(np.sum(area))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=40), min_size=2, max_size=60),
+    st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=60, max_size=60),
+    st.lists(st.floats(min_value=1e-3, max_value=6.0), min_size=1, max_size=40),
+)
+def test_slice_integrals_match_loop(steps, widths, levels):
+    # few distinct values, so equal neighbours give flat runs; levels may lie
+    # above the maximum, below the minimum and in any order
+    v = np.sort(0.1 * np.asarray(steps, dtype=np.float64))[::-1]
+    z = np.concatenate([[0.0], np.cumsum(widths[: v.size - 1])])
+    pdf = DrPdf(table=TabulatedFn(z, v, "nonincreasing"), mass_tol=None)
+    c = np.asarray(levels)
+    assert np.max(np.abs(_slice_integrals(pdf, c) - _loop_slice_integrals(z, v, c))) <= 1e-12
 
 
 def test_compare_cdfs_reports_crossings():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from drmaj.families import dr_beta32
 from drmaj.rearrange import (
+    KNOT_GAP,
     DensityFn,
     DrCdf,
     DrPdf,
@@ -20,6 +21,8 @@ from drmaj.rearrange import (
     load_tabulated,
     measure_function,
     pdf_of_cdf,
+    _swap_axes_to_table,
+    _thin_knots,
 )
 
 
@@ -259,3 +262,144 @@ def test_random_step_tables_build_valid_drs(raw_vals, raw_gaps):
     # generalised inverse: measure at value v covers every z with dr(z) > v
     v = float(vals[1] / mass)
     assert dr(min(dr.measure_at(v), grid[-1])) <= v + 1e-9
+
+
+def test_pdf_of_cdf_steps_far_from_zero():
+    # 5e4 + KNOT_GAP rounds to 5e4, so the step's second knot is the next double
+    F = DrCdf(table=TabulatedFn([0.0, 5e4, 1e5], [0.0, 0.8, 1.0]))
+    f = pdf_of_cdf(F)
+    assert np.array_equal(f.table.grid, [0.0, 5e4, np.nextafter(5e4, np.inf), 1e5])
+    assert np.allclose(f.table.values, [1.6e-5, 1.6e-5, 4e-6, 4e-6], rtol=1e-12, atol=0.0)
+
+
+# References: the knot loops that the array forms replaced.
+
+
+def _loop_swap(measures, thresholds, max_value):
+    zs = [0.0]
+    vs = [max_value]
+    n = measures.size
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and measures[j + 1] - measures[i] <= 0.0:
+            j += 1
+        z = float(measures[i])
+        if z > zs[-1]:
+            zs.append(z)
+            vs.append(float(thresholds[i]))
+        if j > i:
+            zs.append(max(z, zs[-1]) + KNOT_GAP)
+            vs.append(float(thresholds[j]))
+        i = j + 1
+    zs = np.asarray(zs)
+    for k in range(1, zs.size):
+        if zs[k] <= zs[k - 1]:
+            zs[k] = zs[k - 1] + KNOT_GAP
+    return zs, np.minimum.accumulate(np.asarray(vs))
+
+
+def _loop_thin_knots(z):
+    span = max(float(z[-1] - z[0]), 1e-300)
+    kept = [0]
+    for i in range(1, z.size):
+        if z[i] - z[kept[-1]] > span * 1e-7:
+            kept.append(i)
+    if kept[-1] != z.size - 1:
+        kept[-1] = z.size - 1
+    return np.asarray(kept)
+
+
+def _loop_pdf_of_cdf(F):
+    g = F.table.grid
+    slopes = np.minimum.accumulate(np.maximum(np.diff(F.table.values) / np.diff(g), 0.0))
+    zs = [0.0]
+    vs = [float(slopes[0])]
+    for k in range(1, slopes.size):
+        zs.append(float(g[k]))
+        vs.append(float(slopes[k - 1]))
+        zs.append(float(g[k]) + KNOT_GAP)
+        vs.append(float(slopes[k]))
+    zs.append(float(g[-1]))
+    vs.append(float(slopes[-1]))
+    zs = np.asarray(zs)
+    for k in range(1, zs.size):
+        if zs[k] <= zs[k - 1]:
+            zs[k] = zs[k - 1] + KNOT_GAP
+    return zs, np.asarray(vs)
+
+
+#: measure steps: mostly none (long equal runs), some at or below KNOT_GAP
+_STEPS = st.sampled_from([0.0, 0.0, 0.0, 0.0, 1e-13, 5e-13, 1e-12, 2e-12, 1e-4, 0.3])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_STEPS, min_size=1, max_size=80),
+    st.sampled_from([0.0, 1e-13, 0.7, 3e4]),
+)
+def test_swap_matches_loop(steps, start):
+    measures = start + np.cumsum(steps)
+    thresholds = np.geomspace(1.0, 1e-3, measures.size)
+    zs, vs = _loop_swap(measures, thresholds, 1.0)
+    if zs.size < 2:
+        return
+    if np.all(np.diff(zs) > 0):
+        table = _swap_axes_to_table(measures, thresholds, 1.0)
+        assert np.array_equal(table.grid, zs)
+        assert np.array_equal(table.values, vs)
+    else:
+        # the loop's knots collide where KNOT_GAP rounds away; these stay apart
+        assert np.all(np.diff(_swap_axes_to_table(measures, thresholds, 1.0).grid) > 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(min_value=1e-3, max_value=1.0),
+            st.lists(st.sampled_from([1e-12, 1e-9, 3e-8, 6e-8, 1e-7, 2e-7]), max_size=4),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    st.sampled_from([1e-3, 1.0, 1e5]),
+)
+def test_thin_knots_matches_loop(clusters, scale):
+    # each cluster: a knot, then up to four near duplicates of it
+    z = [0.0]
+    for gap, near in clusters:
+        z.append(z[-1] + gap)
+        z.extend(z[-1] + np.cumsum(near))
+    z = np.unique(np.asarray(z) * scale)
+    assert np.array_equal(np.flatnonzero(_thin_knots(z)), _loop_thin_knots(z))
+
+
+def test_thin_knots_keeps_a_knot_at_the_rounded_threshold():
+    # span 1, so the threshold is 1e-7; the fourth knot equals the rounded
+    # 0.3 + 1e-7, yet its distance from 0.3 exceeds 1e-7
+    z = np.array([0.0, 0.3, 0.30000005, 0.3 + 1e-7, 1.0])
+    assert z[3] - z[1] > 1e-7
+    assert np.array_equal(np.flatnonzero(_thin_knots(z)), _loop_thin_knots(z))
+    assert np.array_equal(_loop_thin_knots(z), [0, 1, 3, 4])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_STEPS, min_size=8, max_size=80),
+    st.floats(min_value=0.1, max_value=10.0),
+)
+def test_pdf_of_cdf_matches_loop(steps, scale):
+    measures = scale * (1e-3 + np.cumsum(steps))
+    thresholds = np.geomspace(1.0, 1e-3, measures.size)
+    table = _swap_axes_to_table(measures, thresholds, 1.0)
+    mass = np.trapezoid(table.values, table.grid)
+    F = cdf_of_dr(DrPdf(table=TabulatedFn(table.grid, table.values / mass), mass_tol=None))
+    zs, vs = _loop_pdf_of_cdf(F)
+    try:
+        f = pdf_of_cdf(F)
+    except ValueError as exc:
+        assert "not concave" in str(exc) or "mass" in str(exc)
+        return
+    assert np.array_equal(f.table.grid, zs)
+    assert np.array_equal(f.table.values, vs)
