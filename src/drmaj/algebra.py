@@ -7,10 +7,11 @@ measures at unscaled values, ``(1 - alpha) m1(v) + alpha m2(v)``.  Measures
 are clamped at 0 above each component's maximum, which is what produces the
 kinks when the component maxima differ.
 
-On DR cdfs, ``otimes`` is equal-weight inverse mixing, ``join``/``meet`` are
-the pointwise lattice operations, and ``otimes_power`` applies the dilation
-rule F(z/k).  A small expression language composes these from family specs
-or tabulated files.
+On DR cdfs, ``otimes`` is equal-weight inverse mixing of the cdfs' measures
+through the same inversion, returned as the tabulated cdf of the mixed pdf;
+``join``/``meet`` are the pointwise lattice operations, and ``otimes_power``
+applies the dilation rule F(z/k).  A small expression language composes
+these from family specs or tabulated files.
 """
 
 import math
@@ -19,6 +20,7 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 
 from .families import dr_family, parse_family
 from .order import default_comparison_grid
@@ -93,17 +95,23 @@ def _value_thresholds(vmax, n_grid, floor_ratio):
     return np.unique(np.concatenate([base, top]))[::-1]
 
 
-def _pdf_from_measure(measure, maxima, n_grid, floor_ratio):
+def _pdf_from_measure(measure, maxima, n_grid, floor_ratio, jumps=None):
     """Invert a mixture's nonincreasing measure function into a tabulated DrPdf.
 
     ``maxima`` are the component maxima on the mixture's value axis; the
     largest is the mixture's maximum, and the measure at each smaller one is
-    attached as a ``kink_candidates`` entry.
+    attached as a ``kink_candidates`` entry.  ``jumps`` (same axis) are the
+    levels where a step measure jumps; bracketing each keeps the flat pdf
+    stretches, and hence the mass, exact.
     """
     vmax = max(maxima)
     if not math.isfinite(vmax) or vmax <= 0.0:
         raise ValueError("mixture has degenerate value range; cannot invert")
     thresholds = _value_thresholds(vmax, n_grid, floor_ratio)
+    if jumps is not None:
+        j = jumps[(jumps > vmax * floor_ratio) & (jumps < vmax * (1.0 - 1e-9))]
+        brackets = np.concatenate([j * (1.0 - 1e-9), j * (1.0 + 1e-9)])
+        thresholds = np.unique(np.concatenate([thresholds, brackets]))[::-1]
     measures = np.asarray(measure(thresholds), dtype=np.float64)
     if not np.all(np.isfinite(measures)):
         raise ValueError("measure function produced non-finite values")
@@ -112,6 +120,16 @@ def _pdf_from_measure(measure, maxima, n_grid, floor_ratio):
     cand_v = sorted({m for m in maxima if m < vmax * (1.0 - 1e-12)}, reverse=True)
     out.kink_candidates = np.asarray([float(measure(v)) for v in cand_v])
     return out
+
+
+def _scaled_measure_sum(measures, weights):
+    """Measure of an inverse mix, ``m(v) = sum_i m_i(v / w_i)``."""
+
+    def mixed(v):
+        v = np.asarray(v, dtype=np.float64)
+        return sum(np.asarray(m(v / w), dtype=np.float64) for m, w in zip(measures, weights))
+
+    return mixed
 
 
 def inverse_mix(f1, f2, w=0.5, n_grid=VALUE_GRID_POINTS, floor_ratio=VALUE_FLOOR_RATIO):
@@ -140,17 +158,9 @@ def inverse_mix_many(
     wts = np.asarray(weights, dtype=np.float64)
     if wts.size != len(pdfs):
         raise ValueError("one weight per pdf required")
-    if np.any(wts <= 0.0) or abs(float(wts.sum()) - 1.0) > 1e-9:
+    if not np.all(wts > 0.0) or abs(float(wts.sum()) - 1.0) > 1e-9:  # NaN fails "> 0"
         raise ValueError("weights must be positive and sum to 1")
-    measures = [f.measure_at for f in pdfs]
-
-    def mixed(v):
-        v = np.asarray(v, dtype=np.float64)
-        total = np.zeros_like(v)
-        for m, w in zip(measures, wts):
-            total = total + np.asarray(m(v / w), dtype=np.float64)
-        return total
-
+    mixed = _scaled_measure_sum([f.measure_at for f in pdfs], wts)
     scaled_maxima = [w * f.max_value for w, f in zip(wts, pdfs)]
     return _pdf_from_measure(mixed, scaled_maxima, n_grid, floor_ratio)
 
@@ -238,45 +248,22 @@ def _measure_of_cdf(F):
 
 
 def otimes(F1, F2, n_grid=VALUE_GRID_POINTS, floor_ratio=VALUE_FLOOR_RATIO):
-    """Tropical product of DR cdfs: equal-weight inverse mixing."""
+    """Tropical product of DR cdfs: equal-weight inverse mixing.
+
+    Returns ``cdf_of_dr`` of the mixed pdf: a table on the pdf's knots.
+    """
     if not isinstance(F1, DrCdf) or not isinstance(F2, DrCdf):
         raise TypeError("otimes expects DrCdf arguments")
-    parts = [_measure_of_cdf(F) for F in (F1, F2)]
-    vmax = 0.5 * max(mv for _, mv, _ in parts)
-
-    def mixed(v):
-        v = np.asarray(v, dtype=np.float64)
-        total = np.zeros_like(v)
-        for m, _, _ in parts:
-            total = total + np.asarray(m(2.0 * v), dtype=np.float64)
-        return total
-
-    hi = vmax * (1.0 - 1e-9)
-    lo = vmax * floor_ratio
-    thresholds = _value_thresholds(vmax, n_grid, floor_ratio)
-    # step measures (rearranged joins) have flat pdf stretches; bracketing
-    # each jump level keeps the swapped table, and hence the mass, exact
-    jump_sets = [j / 2.0 for _, _, j in parts if j is not None]
-    if jump_sets:
-        j = np.concatenate(jump_sets)
-        j = j[(j > lo) & (j < hi)]
-        brackets = np.concatenate([j * (1.0 - 1e-9), j * (1.0 + 1e-9)])
-        thresholds = np.unique(np.concatenate([thresholds, brackets]))[::-1]
-    measures = np.asarray(mixed(thresholds), dtype=np.float64)
-    table = _swap_axes_to_table(measures, thresholds, vmax)
-    pdf = DrPdf(table=table, inverse=mixed, mass_tol=1e-5)
-    # integrate on the fine knots but expose the cdf as a closed form: step
-    # measures put near-vertical knot pairs in the table, and difference
-    # quotients across those are too noisy for the tabular concavity probe
-    zk = table.grid
-    vk = table.values
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (vk[1:] + vk[:-1]) * np.diff(zk))])
-    cum = np.maximum.accumulate(cum)
-    total = float(cum[-1])
-    if abs(total - 1.0) > 1e-4:
-        raise ValueError(f"cdf total {total:.6g} is not within 1e-4 of 1")
-    cum = np.clip(cum / total, 0.0, 1.0)
-    return DrCdf(fn=lambda z: np.interp(z, zk, cum), z_hi=float(zk[-1]), pdf=pdf)
+    measures, maxima, jump_sets = zip(*(_measure_of_cdf(F) for F in (F1, F2)))
+    jump_sets = [0.5 * j for j in jump_sets if j is not None]
+    pdf = _pdf_from_measure(
+        _scaled_measure_sum(measures, (0.5, 0.5)),
+        [0.5 * mv for mv in maxima],
+        n_grid,
+        floor_ratio,
+        np.concatenate(jump_sets) if jump_sets else None,
+    )
+    return cdf_of_dr(pdf)
 
 
 def otimes_power(F, k):
@@ -284,17 +271,20 @@ def otimes_power(F, k):
     if not isinstance(F, DrCdf):
         raise TypeError("otimes_power expects a DrCdf")
     k = float(k)
-    if k < 1.0:
-        raise ValueError("power must be at least 1")
+    if not (math.isfinite(k) and k >= 1.0):
+        raise ValueError(f"power must be finite and at least 1, got {k!r}")
     if k == 1.0:
         return F
     scaled_pdf = None
     if F.pdf is not None:
         p = F.pdf
+        inverse = None if p.inverse is None else (
+            lambda v: k * np.asarray(p.inverse(k * np.asarray(v)), dtype=np.float64)
+        )
         if p.table is not None:
             scaled_pdf = DrPdf(
                 table=TabulatedFn(p.table.grid * k, p.table.values / k, "nonincreasing"),
-                inverse=None if p.inverse is None else (lambda v: k * np.asarray(p.inverse(k * np.asarray(v)), dtype=np.float64)),
+                inverse=inverse,
                 mass_tol=1e-4,
                 name=p.name,
             )
@@ -302,7 +292,7 @@ def otimes_power(F, k):
             scaled_pdf = DrPdf(
                 fn=lambda z: np.asarray(p(np.asarray(z, dtype=np.float64) / k)) / k,
                 z_max=p.z_max * k if math.isfinite(p.z_max) else math.inf,
-                inverse=None if p.inverse is None else (lambda v: k * np.asarray(p.inverse(k * np.asarray(v)), dtype=np.float64)),
+                inverse=inverse,
                 probe_hi=p.probe_hi * k,
                 name=p.name,
             )
@@ -362,10 +352,8 @@ def _mass_quantile(pdf, frac):
     """z below which the pdf holds ``frac`` of its mass, by dense trapezoids."""
     hi = pdf.z_max if math.isfinite(pdf.z_max) else pdf.support_hi()
     z = np.linspace(0.0, hi, 8193)
-    v = pdf(z)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(z))])
-    total = cum[-1]
-    return float(np.interp(frac * total, cum, z)), hi
+    cum = cumulative_trapezoid(pdf(z), z, initial=0)
+    return float(np.interp(frac * cum[-1], cum, z)), hi
 
 
 def convolve_dr(f1, f2, min_samples=512, m_thresholds=VALUE_GRID_POINTS):

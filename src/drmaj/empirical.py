@@ -13,6 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 from scipy.special import ndtr
 from scipy.stats import qmc
 
@@ -268,9 +269,7 @@ def empirical_dr_cdf(dr: DrPdf, z_star, renormalise_pdf=False) -> DrCdf:
         raise ValueError("z_star must be nonnegative")
     if z[0] > 0.0:
         z = np.concatenate([[0.0], z])
-    vals = np.asarray(dr(z), dtype=np.float64)
-    masses = 0.5 * (vals[1:] + vals[:-1]) * np.diff(z)
-    cum = np.concatenate([[0.0], np.cumsum(masses)])
+    cum = cumulative_trapezoid(np.asarray(dr(z), dtype=np.float64), z, initial=0)
     total = float(cum[-1])
     if total < 0.9:
         raise ValueError(

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 
 __all__ = [
     "Grid",
@@ -646,8 +647,7 @@ class DrCdf:
             vp = np.asarray(fn(zp), dtype=np.float64)
             if np.any(np.diff(vp) < -1e-12):
                 raise ValueError("DR cdf must be nondecreasing")
-            slopes = np.diff(vp) / np.diff(zp)
-            self.concave = bool(np.all(np.diff(slopes) <= 1e-9 * max(slopes.max(), 1.0)))
+            self.concave = _concave_flag(zp, vp)
         if require_concave and not self.concave:
             raise ValueError("DR cdf is not concave; pass require_concave=False to allow")
 
@@ -855,10 +855,7 @@ def cdf_of_dr(f, grid=None):
         z = grid.points if isinstance(grid, Grid) else _asarray1d(grid)
         if z[0] != 0.0:
             z = np.concatenate([[0.0], z[z > 0]])
-    vals = f(z)
-    increments = 0.5 * (vals[1:] + vals[:-1]) * np.diff(z)
-    cum = np.concatenate([[0.0], np.cumsum(increments)])
-    cum = np.maximum.accumulate(cum)
+    cum = np.maximum.accumulate(cumulative_trapezoid(f(z), z, initial=0))
     total = float(cum[-1])
     if abs(total - 1.0) > 1e-4:
         raise ValueError(f"cdf total {total:.6g} is not within 1e-4 of 1; extend the grid")
@@ -881,11 +878,9 @@ def pdf_of_cdf(F, n=4097):
         table = F.table
     g = table.grid
     v = table.values
-    slopes = np.diff(v) / np.diff(g)
-    slopes = np.maximum(slopes, 0.0)
-    if np.any(np.diff(slopes) > 1e-9 * max(float(slopes.max()), 1.0)):
+    if not _concave_flag(g, v):
         raise ValueError("cdf is not concave; its derivative is not a DR pdf")
-    slopes = np.minimum.accumulate(slopes)
+    slopes = np.minimum.accumulate(np.maximum(np.diff(v) / np.diff(g), 0.0))
     # each inner knot g becomes g (left slope) and _after(g) (right slope);
     # a knot not beyond its predecessor moves to just after it
     inner = g[1:-1]

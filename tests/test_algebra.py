@@ -1,5 +1,7 @@
 """Mixing, tropical operations, lattice, convolution, expressions."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from drmaj.algebra import (
 from drmaj.entropy import SHANNON, entropy_dr, moments_dr
 from drmaj.families import dr_exp_iid, dr_exp_rate, dr_mvn
 from drmaj.order import OrderVerdict, majorizes_cdf, majorizes_discrete
-from drmaj.rearrange import DrPdf, TabulatedFn, cdf_of_dr
+from drmaj.rearrange import DrPdf, TabulatedFn, cdf_of_dr, pdf_of_cdf
 
 LOG2 = np.log(2.0)
 
@@ -153,6 +155,15 @@ def test_inverse_mix_many_matches_binary():
         inverse_mix_many([f1, f2], [1.5, -0.5])
 
 
+@pytest.mark.parametrize(
+    "weights", [[np.nan, np.nan], [np.nan, 1.0], [0.5, np.nan], [np.nan, 0.5]]
+)
+def test_inverse_mix_many_rejects_nan_weights(weights):
+    f, _ = dr_exp_iid(1)
+    with pytest.raises(ValueError, match="weights must be positive and sum to 1"):
+        inverse_mix_many([f, f], weights)
+
+
 def test_mix_weight_validation():
     assert MixWeight.coerce(0.25).alpha == 0.25
     assert MixWeight.coerce(MixWeight(0.7)).alpha == 0.7
@@ -197,6 +208,36 @@ def test_otimes_power_scaling_identity():
     z = np.linspace(0.0, 90.0, 901)
     for k in (2, 3):
         assert np.max(np.abs(otimes_power(F2, k)(z) - F2(z / k))) <= 1e-6
+
+
+@pytest.mark.parametrize("k", [np.inf, -np.inf, np.nan, 0.5])
+def test_otimes_power_rejects_bad_power(k):
+    _, F = dr_exp_iid(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="power must be finite and at least 1"):
+            otimes_power(F, k)
+        with pytest.raises(ValueError, match="power must be finite and at least 1"):
+            eval_expr(f"pow(exp:n=1, {k})")
+
+
+def test_otimes_is_the_tabulated_half_inverse_mix():
+    _, fast = dr_exp_rate(1.0)
+    _, slow = dr_exp_rate(0.5)
+    prod = otimes(fast, slow)
+    assert prod.table is not None and prod.concave
+    again = cdf_of_dr(prod.pdf).table
+    assert np.array_equal(prod.table.grid, again.grid)
+    assert np.array_equal(prod.table.values, again.values)
+    # the slower input's scaled maximum 1/4 is crossed at measure log 2
+    assert np.array_equal(prod.pdf.kink_candidates, [prod.pdf.measure_at(0.25)])
+    assert prod.pdf.kink_candidates[0] == pytest.approx(LOG2, abs=1e-12)
+
+
+def test_otimes_of_crossing_meet_has_a_step_pdf():
+    prod = eval_expr("otimes(meet(mvn:n=1, exp:n=1), exp:n=1)").cdf
+    step = pdf_of_cdf(cdf_of_dr(prod.pdf))
+    assert np.trapezoid(step.table.values, step.table.grid) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_otimes_power_chain_spreads():

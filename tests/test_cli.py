@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from drmaj.algebra import eval_expr
 from drmaj.cli import main
 from drmaj.rearrange import TabulatedFn
 
@@ -97,6 +98,19 @@ def test_expr_writes_tables(tmp_path, capsys):
     assert pdf_path.endswith("_pdf.csv") and cdf_path.endswith("_cdf.csv")
     pdf = TabulatedFn.from_csv(pdf_path)
     assert np.trapezoid(pdf.values, pdf.grid) == pytest.approx(1.0, abs=1e-4)
+
+
+def test_expr_otimes_table_feeds_entropy(tmp_path, capsys):
+    # otimes writes its knot table; its cdf must read back as a concave cdf
+    expr = "otimes(meet(mvn:n=1, exp:n=1), exp:n=1)"
+    rc, out, err = run(capsys, "expr", expr, "--out", str(tmp_path))
+    assert rc == 0, err
+    cdf_path = out.splitlines()[-1]
+    assert cdf_path.endswith("_cdf.csv")
+    written = TabulatedFn.from_csv(cdf_path)
+    assert np.array_equal(written.grid, eval_expr(expr).cdf.table.grid)
+    rc, _, err = run(capsys, "entropy", cdf_path)
+    assert rc == 0, err
 
 
 def test_expr_parse_error_is_usage(capsys):
