@@ -266,13 +266,18 @@ def otimes(F1, F2, n_grid=VALUE_GRID_POINTS, floor_ratio=VALUE_FLOOR_RATIO):
     return cdf_of_dr(pdf)
 
 
+def _power(k):
+    k = float(k)
+    if not (math.isfinite(k) and k >= 1.0):
+        raise ValueError(f"power must be finite and at least 1, got {k!r}")
+    return k
+
+
 def otimes_power(F, k):
     """k-th tropical power of a DR cdf: the dilation F(z/k)."""
     if not isinstance(F, DrCdf):
         raise TypeError("otimes_power expects a DrCdf")
-    k = float(k)
-    if not (math.isfinite(k) and k >= 1.0):
-        raise ValueError(f"power must be finite and at least 1, got {k!r}")
+    k = _power(k)
     if k == 1.0:
         return F
     scaled_pdf = None
@@ -296,6 +301,8 @@ def otimes_power(F, k):
                 probe_hi=p.probe_hi * k,
                 name=p.name,
             )
+        if hasattr(p, "kink_candidates"):
+            scaled_pdf.kink_candidates = k * np.asarray(p.kink_candidates)
     if F.table is not None:
         return DrCdf(
             table=TabulatedFn(F.table.grid * k, F.table.values, "nondecreasing"),
@@ -566,7 +573,10 @@ def eval_expr(text):
     for part in raw_parts:
         km = re.match(r"^(\w+)\s*=\s*([^\s(),]+)$", part)
         if km and km.group(1) in allowed:
-            kwargs[km.group(1)] = float(km.group(2))
+            try:
+                kwargs[km.group(1)] = float(km.group(2))
+            except ValueError as exc:
+                raise ExprError(f"{km.group(1)} must be a number, got {km.group(2)!r}") from exc
             continue
         try:
             args.append(float(part))
@@ -581,7 +591,10 @@ def eval_expr(text):
 
     if op in ("mix", "dmix"):
         a, b = binary()
-        alpha = kwargs.get("alpha", 0.5)
+        try:
+            alpha = MixWeight.coerce(kwargs.get("alpha", 0.5))
+        except ValueError as exc:
+            raise ExprError(str(exc)) from exc
         fn = inverse_mix if op == "mix" else direct_mix
         pdf = fn(_need_pdf(a), _need_pdf(b), alpha)
         return ExprResult(pdf=pdf, cdf=cdf_of_dr(pdf), label=label)
@@ -590,7 +603,10 @@ def eval_expr(text):
         nums = [a for a in args if isinstance(a, float)]
         if len(dist) != 1 or len(nums) + ("k" in kwargs) != 1:
             raise ExprError("pow takes one distribution and one power")
-        k = kwargs.get("k", nums[0] if nums else None)
+        try:
+            k = _power(kwargs.get("k", nums[0] if nums else None))
+        except ValueError as exc:
+            raise ExprError(str(exc)) from exc
         cdf = otimes_power(dist[0].cdf, k)
         return ExprResult(pdf=cdf.pdf, cdf=cdf, label=label)
     if op in ("join", "meet"):

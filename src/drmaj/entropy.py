@@ -2,19 +2,26 @@
 
 Rearranging a density does not change integrals of pointwise gauges, so the
 entropy of a DR pdf equals the differential entropy of every density that
-rearranges to it. Closed-form DRs are integrated on the level side through
-their exact superlevel measure; tabulated DRs fall back to trapezoid sums on
-their knots with tails beyond the table contributing zero.
+rearranges to it.  A DR with a superlevel measure m(u) (closed forms, and
+mixes and tropical products built from them) is integrated on the level
+side, by the layer-cake formula: the entropy is the integral of
+m(u) h'(u) du, the mean of m(u)^2 / 2 du and the second moment of
+m(u)^3 / 3 du.  The level axis is taken as t = -log(u / max f), where the
+integrands decay, and cut into panels by an adaptive Gauss-Legendre 21/10
+rule: every pass evaluates the measure once, on the nodes of all panels not
+yet accepted, accepts a panel whose 21- and 10-point sums agree within its
+share of the tolerance, and bisects the others; it stops when the summed
+panel errors meet the tolerance (see ``_level_quad``).  Tabulated DRs
+without a measure fall back to trapezoid sums on their knots, with tails
+beyond the table contributing zero.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 
 from .order import ProbMatrix, ProbVector
@@ -94,9 +101,9 @@ def _gauge(values, kind):
 
 
 def _gauge_slope(u, kind):
-    """h'(u) for u > 0, used by the level-side (layer cake) quadrature."""
+    """h'(u) for levels u > 0, used by the level-side (layer cake) quadrature."""
     if kind.kind == "shannon":
-        return -math.log(u) - 1.0
+        return -np.log(u) - 1.0
     g = kind.gamma
     return (1.0 - (1.0 + g) * u**g) / g
 
@@ -125,6 +132,18 @@ def entropy_discrete(p, kind=SHANNON):
 # DR functionals
 # ---------------------------------------------------------------------------
 
+_X21, _W21 = np.polynomial.legendre.leggauss(21)
+_X10, _W10 = np.polynomial.legendre.leggauss(10)
+#: a panel's nodes on [-1, 1]: the 21-point rule's, then the 10-point rule's
+_NODES = np.concatenate([_X21, _X10])
+#: one weight column per rule over ``_NODES``
+_WEIGHTS = np.zeros((_NODES.size, 2))
+_WEIGHTS[:21, 0], _WEIGHTS[21:, 1] = _W21, _W10
+#: panels the level-side rule may hold before it gives up
+_MAX_PANELS = 2000
+#: relative (absolute below 1) error allowed in each level-side total
+_LEVEL_RTOL = 1e-10
+
 
 def _level_breaks(f):
     """Quadrature split points in t = -log(u / vmax), from known pdf kinks."""
@@ -138,46 +157,69 @@ def _level_breaks(f):
 
 
 def _level_quad(f, g_of_u, what):
-    """Integral of G(u) du over (0, max f], substituted as u = vmax e^{-t}.
+    """Integrals of the k columns of G(u) u dt, t = -log(u / vmax) in [0, T].
 
-    G carries the superlevel measure, so polynomial-in-log growth is damped
-    by the u factor; a non-decaying tail shows up as quadrature failure.
+    This is the layer-cake integral of G(u) du over (0, max f].  ``g_of_u``
+    maps n levels to an (n, k) array; G carries the superlevel measure, so
+    polynomial-in-log growth is damped by the u factor.  T = log(vmax) + 745,
+    beyond which u underflows to 0.  The first panels have edges at 0, at the
+    known kinks (``_level_breaks``) and at powers of 2.  Each pass evaluates
+    G once, on the nodes of every pending panel; a panel's value is its
+    21-point Gauss-Legendre sum and its error the distance to the 10-point
+    sum.  A panel whose error, in every column, is within its share of the
+    tolerance (its width over T) is kept; the others are bisected, until the
+    errors of all panels sum within the tolerance, ``_LEVEL_RTOL`` times the
+    column's total or 1 if larger.  A non-finite value or a run past
+    ``_MAX_PANELS`` panels raises: the tail does not decay, or the measure
+    has more jumps than the panels can resolve.
     """
     vmax = float(f.max_value)
+    end = math.log(vmax) + 745.0
 
     def integrand(t):
-        u = vmax * math.exp(-t)
-        if u <= 0.0:
-            return 0.0
-        return g_of_u(u) * u
+        u = vmax * np.exp(-t)
+        live = u > 0.0
+        # an overflow shows as a non-finite value, which the caller rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = np.asarray(g_of_u(np.where(live, u, vmax)), dtype=np.float64)
+            return g * np.where(live, u, 0.0)[:, None]
 
-    limits = [0.0, *_level_breaks(f), math.inf]
-    total = 0.0
-    err = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for a, b in zip(limits[:-1], limits[1:]):
-            piece, piece_err = quad(integrand, a, b, limit=400)
-            total += piece
-            err += piece_err
-    if not math.isfinite(total) or err > 1e-6 * max(1.0, abs(total)):
-        raise ValueError(f"{what} quadrature did not converge: tail not decaying")
+    def fail():
+        return ValueError(f"{what} quadrature did not converge: tail not decaying")
+
+    powers = 2.0 ** np.arange(math.ceil(math.log2(end)))
+    edges = np.unique(np.concatenate([[0.0, end], _level_breaks(f), powers]))
+    edges = edges[edges <= end]
+    lo, hi = edges[:-1], edges[1:]
+    kept_sum = kept_err = 0.0
+    panels = lo.size
+    while True:
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        vals = integrand((mid[:, None] + half[:, None] * _NODES).ravel())
+        if not np.all(np.isfinite(vals)):
+            raise fail()
+        rules = np.einsum("pnk,nr->rpk", vals.reshape(lo.size, _NODES.size, -1), _WEIGHTS)
+        value = half[:, None] * rules[0]
+        err = half[:, None] * np.abs(rules[0] - rules[1])
+        tol = _LEVEL_RTOL * np.maximum(1.0, np.abs(kept_sum + value.sum(axis=0)))
+        todo = np.any(err > tol * (2.0 * half / end)[:, None], axis=1)
+        kept_sum = kept_sum + value[~todo].sum(axis=0)
+        kept_err = kept_err + err[~todo].sum(axis=0)
+        if not todo.any() or np.all(kept_err + err[todo].sum(axis=0) <= tol):
+            total = kept_sum + value[todo].sum(axis=0)
+            break
+        panels += int(np.count_nonzero(todo))
+        if panels > _MAX_PANELS:
+            raise fail()
+        lo, mid, hi = lo[todo], mid[todo], hi[todo]
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
     # a u-side integrand still flat at t ~ 300 (u ~ vmax * e^-300) means the
-    # integral diverges; fp underflow would truncate it to a confident
-    # finite value that the quadrature error estimate cannot see
-    probe = abs(integrand(300.0))
-    if probe > 1e-12 * max(1.0, abs(total)) and abs(integrand(600.0)) > 0.5 * probe:
-        raise ValueError(f"{what} quadrature did not converge: tail not decaying")
+    # integral diverges; the finite t range would truncate it to a confident
+    # finite value that the panel error estimate cannot see
+    at300, at600 = np.abs(integrand(np.array([300.0, 600.0])))
+    if np.any((at300 > 1e-12 * np.maximum(1.0, np.abs(total))) & (at600 > 0.5 * at300)):
+        raise fail()
     return total
-
-
-def _measure_scalar(f):
-    inverse = f.inverse
-
-    def m(u):
-        return max(0.0, float(np.asarray(inverse(u), dtype=np.float64)))
-
-    return m
 
 
 def _pdf_samples(f):
@@ -202,8 +244,10 @@ def _check_tail(values, what):
 def entropy_dr(f: DrPdf, kind=SHANNON) -> float:
     """Differential entropy ``int h(f~(z)) dz`` of a DR pdf."""
     if f.inverse is not None:
-        m = _measure_scalar(f)
-        return _level_quad(f, lambda u: m(u) * _gauge_slope(u, kind), "entropy")
+        (h,) = _level_quad(
+            f, lambda u: (f.measure_at(u) * _gauge_slope(u, kind))[:, None], "entropy"
+        )
+        return float(h)
     z, v = _pdf_samples(f)
     _check_tail(v, "entropy")
     return float(np.trapezoid(_gauge(v, kind), z))
@@ -212,9 +256,12 @@ def entropy_dr(f: DrPdf, kind=SHANNON) -> float:
 def moments_dr(f: DrPdf) -> tuple[float, float]:
     """Mean and variance of the rearranged variable z under the DR density."""
     if f.inverse is not None:
-        m = _measure_scalar(f)
-        first = _level_quad(f, lambda u: 0.5 * m(u) ** 2, "mean")
-        second = _level_quad(f, lambda u: m(u) ** 3 / 3.0, "second moment")
+
+        def halves_and_thirds(u):
+            m = f.measure_at(u)
+            return np.column_stack([0.5 * m**2, m**3 / 3.0])
+
+        first, second = (float(x) for x in _level_quad(f, halves_and_thirds, "moment"))
     else:
         z, v = _pdf_samples(f)
         _check_tail(v, "moments")

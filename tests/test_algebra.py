@@ -25,7 +25,7 @@ from drmaj.algebra import (
     otimes_power,
     scalar_scale,
 )
-from drmaj.entropy import SHANNON, entropy_dr, moments_dr
+from drmaj.entropy import SHANNON, _level_breaks, entropy_dr, moments_dr
 from drmaj.families import dr_exp_iid, dr_exp_rate, dr_mvn
 from drmaj.order import OrderVerdict, majorizes_cdf, majorizes_discrete
 from drmaj.rearrange import DrPdf, TabulatedFn, cdf_of_dr, pdf_of_cdf
@@ -208,6 +208,15 @@ def test_otimes_power_scaling_identity():
     z = np.linspace(0.0, 90.0, 901)
     for k in (2, 3):
         assert np.max(np.abs(otimes_power(F2, k)(z) - F2(z / k))) <= 1e-6
+
+
+def test_otimes_power_keeps_the_level_breaks():
+    # dilating z by k divides every pdf value by k, so -log(u / vmax) is fixed
+    mixed = eval_expr("mix(exp:n=1, exp:n=2, alpha=0.3)")
+    powered = eval_expr("pow(mix(exp:n=1, exp:n=2, alpha=0.3), 2.2)")
+    want = _level_breaks(mixed.pdf)
+    assert len(want) == 1 and want[0] == pytest.approx(0.8473, abs=1e-4)
+    assert _level_breaks(powered.pdf) == pytest.approx(want, abs=1e-12)
 
 
 @pytest.mark.parametrize("k", [np.inf, -np.inf, np.nan, 0.5])

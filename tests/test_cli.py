@@ -119,6 +119,27 @@ def test_expr_parse_error_is_usage(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("pow(exp:n=1, nan)", "power must be finite and at least 1"),
+        ("mix(exp:n=1, exp:n=2, alpha=nan)", "mixing weight must lie in (0, 1)"),
+        ("mix(exp:n=1, exp:n=2, alpha=1.5)", "mixing weight must lie in (0, 1)"),
+        ("dmix(exp:n=1, exp:n=2, alpha=half)", "alpha must be a number"),
+    ],
+)
+def test_expr_bad_operator_parameter_is_usage(capsys, expr, message):
+    rc, _, err = run(capsys, "expr", expr)
+    assert rc == 2
+    assert err.startswith("error:") and message in err
+
+
+def test_expr_mass_failure_is_numeric_error(capsys):
+    rc, _, err = run(capsys, "expr", "mix(exp:n=10, exp:n=1)")
+    assert rc == 3
+    assert "tabulated DR pdf mass" in err
+
+
 def test_entropy_reports_moments_and_entropies(capsys):
     payload = run_json(capsys, "entropy", "exp:n=1")
     assert payload["input"] == "exp_n1"

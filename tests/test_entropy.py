@@ -5,8 +5,10 @@ import pytest
 from scipy.special import betaln, psi
 
 from conftest import discrete_comparable_pair
+from drmaj.algebra import eval_expr
 from drmaj.entropy import (
     SHANNON,
+    _level_quad,
     BinaryJointSpec,
     EntropyKind,
     StationaryEpsilon,
@@ -86,6 +88,26 @@ def test_dr_moments():
     assert var == pytest.approx(21.0, abs=1e-7)
     fr, _ = dr_exp_rate(0.5)
     assert moments_dr(fr) == pytest.approx((2.0, 4.0), abs=1e-8)
+
+
+def test_direct_mix_of_normals_entropy():
+    # H(dmix(a, b, 1/2)) = H(mix(a, b, 1/2)) - log 2 = (H_a + H_b) / 2; the
+    # narrower normal's measure enters at a square-root kink
+    rng = np.random.default_rng(31)
+    for _ in range(4):
+        va, vb = (float(f"{v:.4g}") for v in rng.uniform(0.3, 4.0, size=2))
+        f = eval_expr(f"dmix(mvn:n=1,var={va}, mvn:n=1,var={vb})").pdf
+        want = 0.25 * (np.log(2.0 * np.pi * np.e * va) + np.log(2.0 * np.pi * np.e * vb))
+        assert entropy_dr(f) == pytest.approx(want, abs=1e-8)
+
+
+def test_moments_share_one_level_quadrature():
+    f = eval_expr("mix(exp:n=1, exp:n=2, alpha=0.3)").pdf
+    mean, var = moments_dr(f)
+    first = _level_quad(f, lambda u: 0.5 * f.measure_at(u)[:, None] ** 2, "mean")[0]
+    second = _level_quad(f, lambda u: f.measure_at(u)[:, None] ** 3 / 3.0, "second")[0]
+    assert mean == pytest.approx(first, rel=1e-12)
+    assert var + mean**2 == pytest.approx(second, rel=1e-12)
 
 
 def test_tabulated_path_agrees_with_exact_measure():
