@@ -169,7 +169,7 @@ def _level_quad(f, g_of_u, what):
     sum.  A panel whose error, in every column, is within its share of the
     tolerance (its width over T) is kept; the others are bisected, until the
     errors of all panels sum within the tolerance, ``_LEVEL_RTOL`` times the
-    column's total or 1 if larger.  A non-finite value or a run past
+    larger of 1 and the column's total.  A non-finite value or a run past
     ``_MAX_PANELS`` panels raises: the tail does not decay, or the measure
     has more jumps than the panels can resolve.
     """
@@ -179,7 +179,7 @@ def _level_quad(f, g_of_u, what):
     def integrand(t):
         u = vmax * np.exp(-t)
         live = u > 0.0
-        # an overflow shows as a non-finite value, which the caller rejects
+        # an overflow shows as a non-finite value, which the panel loop rejects
         with np.errstate(over="ignore", invalid="ignore"):
             g = np.asarray(g_of_u(np.where(live, u, vmax)), dtype=np.float64)
             return g * np.where(live, u, 0.0)[:, None]
