@@ -95,14 +95,16 @@ def _value_thresholds(vmax, n_grid, floor_ratio):
     return np.unique(np.concatenate([base, top]))[::-1]
 
 
-def _pdf_from_measure(measure, maxima, n_grid, floor_ratio, jumps=None):
+def _pdf_from_measure(measure, maxima, n_grid, floor_ratio, jumps=None, exact=True):
     """Invert a mixture's nonincreasing measure function into a tabulated DrPdf.
 
     ``maxima`` are the component maxima on the mixture's value axis; the
     largest is the mixture's maximum, and the measure at each smaller one is
     attached as a ``kink_candidates`` entry.  ``jumps`` (same axis) are the
     levels where a step measure jumps; bracketing each keeps the flat pdf
-    stretches, and hence the mass, exact.
+    stretches, and hence the mass, exact.  ``exact`` is False when the
+    measure interpolates samples of an operand's pdf (an operand with no
+    ``inverse``); the result then keeps only its own table, like that operand.
     """
     vmax = max(maxima)
     if not math.isfinite(vmax) or vmax <= 0.0:
@@ -116,7 +118,7 @@ def _pdf_from_measure(measure, maxima, n_grid, floor_ratio, jumps=None):
     if not np.all(np.isfinite(measures)):
         raise ValueError("measure function produced non-finite values")
     table = _swap_axes_to_table(measures, thresholds, vmax)
-    out = DrPdf(table=table, inverse=measure, mass_tol=1e-5)
+    out = DrPdf(table=table, inverse=measure if exact else None, mass_tol=1e-5)
     cand_v = sorted({m for m in maxima if m < vmax * (1.0 - 1e-12)}, reverse=True)
     out.kink_candidates = np.asarray([float(measure(v)) for v in cand_v])
     return out
@@ -162,7 +164,8 @@ def inverse_mix_many(
         raise ValueError("weights must be positive and sum to 1")
     mixed = _scaled_measure_sum([f.measure_at for f in pdfs], wts)
     scaled_maxima = [w * f.max_value for w, f in zip(wts, pdfs)]
-    return _pdf_from_measure(mixed, scaled_maxima, n_grid, floor_ratio)
+    exact = all(f.inverse is not None for f in pdfs)
+    return _pdf_from_measure(mixed, scaled_maxima, n_grid, floor_ratio, exact=exact)
 
 
 def direct_mix(f1, f2, w=0.5, n_grid=VALUE_GRID_POINTS, floor_ratio=VALUE_FLOOR_RATIO):
@@ -184,7 +187,9 @@ def direct_mix(f1, f2, w=0.5, n_grid=VALUE_GRID_POINTS, floor_ratio=VALUE_FLOOR_
             m2(v), dtype=np.float64
         )
 
-    return _pdf_from_measure(mixed, [f1.max_value, f2.max_value], n_grid, floor_ratio)
+    exact = f1.inverse is not None and f2.inverse is not None
+    maxima = [f1.max_value, f2.max_value]
+    return _pdf_from_measure(mixed, maxima, n_grid, floor_ratio, exact=exact)
 
 
 def inverse_mix_discrete(p, q, w=0.5):
@@ -256,12 +261,15 @@ def otimes(F1, F2, n_grid=VALUE_GRID_POINTS, floor_ratio=VALUE_FLOOR_RATIO):
         raise TypeError("otimes expects DrCdf arguments")
     measures, maxima, jump_sets = zip(*(_measure_of_cdf(F) for F in (F1, F2)))
     jump_sets = [0.5 * j for j in jump_sets if j is not None]
+    # a step measure of a cdf's slopes is exact; one interpolating pdf samples is not
+    exact = all(F.pdf is None or F.pdf.inverse is not None for F in (F1, F2))
     pdf = _pdf_from_measure(
         _scaled_measure_sum(measures, (0.5, 0.5)),
         [0.5 * mv for mv in maxima],
         n_grid,
         floor_ratio,
         np.concatenate(jump_sets) if jump_sets else None,
+        exact,
     )
     return cdf_of_dr(pdf)
 

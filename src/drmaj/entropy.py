@@ -13,7 +13,10 @@ yet accepted, accepts a panel whose 21- and 10-point sums agree within its
 share of the tolerance, and bisects the others; it stops when the summed
 panel errors meet the tolerance (see ``_level_quad``).  Tabulated DRs
 without a measure fall back to trapezoid sums on their knots, with tails
-beyond the table contributing zero.
+beyond the table contributing zero.  So do mixes and tropical products of
+an operand without a measure (a table, a convolution, ``beta32``): their
+measure would interpolate that operand's samples, whose thousands of kinks
+the panel rule cannot resolve within its tolerance.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from scipy.special import betaln, psi
+from scipy.integrate import quad
+from scipy.special import betaln, lambertw, psi
 
 from conftest import discrete_comparable_pair
 from drmaj.algebra import eval_expr
@@ -118,6 +119,74 @@ def test_tabulated_path_agrees_with_exact_measure():
     m_exact = moments_dr(f)
     assert m_tab[0] == pytest.approx(m_exact[0], abs=1e-4)
     assert m_tab[1] == pytest.approx(m_exact[1], abs=1e-3)
+
+
+def _gamma_exp_mix_measure(u):
+    # mix(conv(exp:n=1, exp:n=1), exp:n=1): the convolution is the Gamma(2)
+    # density z e^-z, whose superlevel set {z e^-z >= v} ends on the two real
+    # branches of Lambert W; the half-weight inverse mix adds both measures at 2u
+    v = 2.0 * u
+    out = -np.log(v) if v < 1.0 else 0.0
+    if v < np.exp(-1.0):
+        out += (lambertw(-v, 0) - lambertw(-v, -1)).real
+    return out
+
+
+@pytest.mark.parametrize("op, scale", [("mix", 1.0), ("otimes", 1.0), ("dmix", 0.5)])
+def test_mix_with_convolution_operand(op, scale):
+    # the mixed measure interpolates the convolution's table, so the result is
+    # a table too; its functionals match the Lambert W reference to the
+    # accuracy of that table.  dmix(a, b, 1/2) is mix(a, b, 1/2) scaled by 1/2.
+    f = eval_expr(f"{op}(conv(exp:n=1, exp:n=1), exp:n=1)").pdf
+    assert f.inverse is None
+    m = _gamma_exp_mix_measure
+    kw = dict(points=[0.5 / np.e], limit=200, epsrel=1e-12)
+    h = quad(lambda u: m(u) * (-np.log(u) - 1.0), 0.0, 0.5, **kw)[0]
+    first = quad(lambda u: 0.5 * m(u) ** 2, 0.0, 0.5, **kw)[0]
+    second = quad(lambda u: m(u) ** 3 / 3.0, 0.0, 0.5, **kw)[0]
+    assert entropy_dr(f) == pytest.approx(h + np.log(scale), rel=1e-5)
+    mean, var = moments_dr(f)
+    assert mean == pytest.approx(scale * first, rel=1e-5)
+    assert var == pytest.approx(scale**2 * (second - first**2), rel=1e-4)
+
+
+@pytest.mark.parametrize(
+    "table, expr",
+    [
+        ("pdf", "mix(LEAF, exp:n=1)"),
+        ("pdf", "dmix(LEAF, exp:n=1, alpha=0.3)"),
+        ("pdf", "otimes(LEAF, exp:n=1)"),
+        ("cdf", "mix(LEAF, exp:n=1)"),
+        ("cdf", "dmix(LEAF, exp:n=1, alpha=0.3)"),
+    ],
+)
+def test_mix_with_file_leaf(tmp_path, table, expr):
+    # a leaf read from a table of mvn:n=1 against the closed form itself; a
+    # cdf leaf's pdf is the step pdf of its slopes
+    pdf, cdf = dr_mvn(1)
+    path = tmp_path / "leaf.json"
+    (pdf if table == "pdf" else cdf).tabulated(8193).to_json(path)
+    f = eval_expr(expr.replace("LEAF", str(path))).pdf
+    ref = eval_expr(expr.replace("LEAF", "mvn:n=1")).pdf
+    assert entropy_dr(f) == pytest.approx(entropy_dr(ref), rel=1e-5)
+    mean, var = moments_dr(f)
+    ref_mean, ref_var = moments_dr(ref)
+    assert mean == pytest.approx(ref_mean, rel=1e-5)
+    assert var == pytest.approx(ref_var, rel=1e-4)
+
+
+def test_inverse_mix_with_beta32_entropy():
+    # beta32 has no closed-form measure; H of an inverse mix is the weighted
+    # sum of the operands' entropies plus the binary entropy of the weight
+    a = 0.7
+    want = (
+        (1.0 - a) * entropy_dr(dr_beta32()[0])
+        + a * entropy_dr(dr_exp_rate(3.0)[0])
+        - (1.0 - a) * np.log(1.0 - a)
+        - a * np.log(a)
+    )
+    f = eval_expr(f"mix(beta32, exprate:theta=3, alpha={a})").pdf
+    assert entropy_dr(f) == pytest.approx(want, rel=1e-5)
 
 
 def test_undecayed_tail_is_rejected():
