@@ -84,18 +84,18 @@ def _require_pdf(f, what):
     return f
 
 
-def _value_thresholds(vmax, n_grid, floor_ratio):
+def _value_thresholds(vmax, n_grid):
     """Decreasing value grid: geometric overall, refined near the maximum.
 
     Square-root-shaped measures (smooth density modes) change fastest just
     below the maximum, where geometric spacing alone is too coarse.
     """
-    base = np.geomspace(vmax * (1.0 - 1e-9), vmax * floor_ratio, int(n_grid))
+    base = np.geomspace(vmax * (1.0 - 1e-9), vmax * VALUE_FLOOR_RATIO, int(n_grid))
     top = vmax * (1.0 - np.geomspace(1e-9, 0.1, 1025)[1:-1])
     return np.unique(np.concatenate([base, top]))[::-1]
 
 
-def _pdf_from_measure(measure, maxima, n_grid, floor_ratio, jumps=None, exact=True):
+def _pdf_from_measure(measure, maxima, exact, n_grid=VALUE_GRID_POINTS, jumps=None):
     """Invert a mixture's nonincreasing measure function into a tabulated DrPdf.
 
     ``maxima`` are the component maxima on the mixture's value axis; the
@@ -109,9 +109,9 @@ def _pdf_from_measure(measure, maxima, n_grid, floor_ratio, jumps=None, exact=Tr
     vmax = max(maxima)
     if not math.isfinite(vmax) or vmax <= 0.0:
         raise ValueError("mixture has degenerate value range; cannot invert")
-    thresholds = _value_thresholds(vmax, n_grid, floor_ratio)
+    thresholds = _value_thresholds(vmax, n_grid)
     if jumps is not None:
-        j = jumps[(jumps > vmax * floor_ratio) & (jumps < vmax * (1.0 - 1e-9))]
+        j = jumps[(jumps > vmax * VALUE_FLOOR_RATIO) & (jumps < vmax * (1.0 - 1e-9))]
         brackets = np.concatenate([j * (1.0 - 1e-9), j * (1.0 + 1e-9)])
         thresholds = np.unique(np.concatenate([thresholds, brackets]))[::-1]
     measures = np.asarray(measure(thresholds), dtype=np.float64)
@@ -134,7 +134,7 @@ def _scaled_measure_sum(measures, weights):
     return mixed
 
 
-def inverse_mix(f1, f2, w=0.5, n_grid=VALUE_GRID_POINTS, floor_ratio=VALUE_FLOOR_RATIO):
+def inverse_mix(f1, f2, w=0.5):
     """Alpha-inverse mixing of two DR pdfs.
 
     The component measures are evaluated at ``v/(1-alpha)`` and ``v/alpha``
@@ -145,12 +145,10 @@ def inverse_mix(f1, f2, w=0.5, n_grid=VALUE_GRID_POINTS, floor_ratio=VALUE_FLOOR
     _require_pdf(f1, "inverse_mix")
     _require_pdf(f2, "inverse_mix")
     a = MixWeight.coerce(w).alpha
-    return inverse_mix_many([f1, f2], [1.0 - a, a], n_grid=n_grid, floor_ratio=floor_ratio)
+    return inverse_mix_many([f1, f2], [1.0 - a, a])
 
 
-def inverse_mix_many(
-    pdfs, weights, n_grid=VALUE_GRID_POINTS, floor_ratio=VALUE_FLOOR_RATIO
-):
+def inverse_mix_many(pdfs, weights):
     """Weighted inverse mixing of any number of DR pdfs.
 
     ``weights`` must be positive and sum to 1; the mixed measure is
@@ -165,10 +163,10 @@ def inverse_mix_many(
     mixed = _scaled_measure_sum([f.measure_at for f in pdfs], wts)
     scaled_maxima = [w * f.max_value for w, f in zip(wts, pdfs)]
     exact = all(f.inverse is not None for f in pdfs)
-    return _pdf_from_measure(mixed, scaled_maxima, n_grid, floor_ratio, exact=exact)
+    return _pdf_from_measure(mixed, scaled_maxima, exact)
 
 
-def direct_mix(f1, f2, w=0.5, n_grid=VALUE_GRID_POINTS, floor_ratio=VALUE_FLOOR_RATIO):
+def direct_mix(f1, f2, w=0.5):
     """Direct (alpha-weighted) mixing of two DR pdfs.
 
     Averages the measures at unscaled values, ``(1-alpha) m1(v) + alpha
@@ -189,7 +187,7 @@ def direct_mix(f1, f2, w=0.5, n_grid=VALUE_GRID_POINTS, floor_ratio=VALUE_FLOOR_
 
     exact = f1.inverse is not None and f2.inverse is not None
     maxima = [f1.max_value, f2.max_value]
-    return _pdf_from_measure(mixed, maxima, n_grid, floor_ratio, exact=exact)
+    return _pdf_from_measure(mixed, maxima, exact)
 
 
 def inverse_mix_discrete(p, q, w=0.5):
@@ -252,7 +250,7 @@ def _measure_of_cdf(F):
     return measure, float(s_desc[0]), np.unique(s_desc)
 
 
-def otimes(F1, F2, n_grid=VALUE_GRID_POINTS, floor_ratio=VALUE_FLOOR_RATIO):
+def otimes(F1, F2, n_grid=VALUE_GRID_POINTS):
     """Tropical product of DR cdfs: equal-weight inverse mixing.
 
     Returns ``cdf_of_dr`` of the mixed pdf: a table on the pdf's knots.
@@ -266,10 +264,9 @@ def otimes(F1, F2, n_grid=VALUE_GRID_POINTS, floor_ratio=VALUE_FLOOR_RATIO):
     pdf = _pdf_from_measure(
         _scaled_measure_sum(measures, (0.5, 0.5)),
         [0.5 * mv for mv in maxima],
-        n_grid,
-        floor_ratio,
-        np.concatenate(jump_sets) if jump_sets else None,
         exact,
+        n_grid,
+        np.concatenate(jump_sets) if jump_sets else None,
     )
     return cdf_of_dr(pdf)
 
@@ -371,18 +368,18 @@ def _mass_quantile(pdf, frac):
     return float(np.interp(frac * cum[-1], cum, z)), hi
 
 
-def convolve_dr(f1, f2, min_samples=512, m_thresholds=VALUE_GRID_POINTS):
+def convolve_dr(f1, f2):
     """DR cdf of the sum of independent variables with DR densities f1, f2.
 
     The densities are convolved on a shared uniform grid (step chosen so the
-    narrower 1 - 1e-6 mass range gets ``min_samples`` points, trapezoid end
-    correction applied), rearranged, and integrated.
+    narrower 1 - 1e-6 mass range gets 512 points, trapezoid end correction
+    applied), rearranged, and integrated.
     """
     _require_pdf(f1, "convolve_dr")
     _require_pdf(f2, "convolve_dr")
     q1, hi1 = _mass_quantile(f1, 1.0 - 1e-6)
     q2, hi2 = _mass_quantile(f2, 1.0 - 1e-6)
-    h = min(q1, q2) / float(min_samples)
+    h = min(q1, q2) / 512.0
     n1 = int(math.ceil(hi1 / h)) + 1
     n2 = int(math.ceil(hi2 / h)) + 1
     a = f1(np.arange(n1) * h)
@@ -406,11 +403,10 @@ def convolve_dr(f1, f2, min_samples=512, m_thresholds=VALUE_GRID_POINTS):
         return np.interp(z, z_out, conv)
 
     g = DensityFn.from_univariate(density, 0.0, float(z_out[-1]), integral_tol=None)
-    dr = dr_from_density_1d(g, m_thresholds=m_thresholds)
-    return cdf_of_dr(dr)
+    return cdf_of_dr(dr_from_density_1d(g))
 
 
-def scalar_scale(F, beta, n=4097):
+def scalar_scale(F, beta):
     """Pointwise scaling beta * F(z), returned as a table.
 
     Only beta = 1 yields a cdf; the result's ``is_cdf`` attribute flags this.
@@ -420,20 +416,20 @@ def scalar_scale(F, beta, n=4097):
     beta = float(beta)
     if beta <= 0.0:
         raise ValueError("scale factor must be positive")
-    base = F.table if F.table is not None else F.tabulated(n)
+    base = F.table if F.table is not None else F.tabulated(4097)
     out = TabulatedFn(base.grid.copy(), beta * base.values, "nondecreasing")
     out.is_cdf = beta == 1.0
     return out
 
 
-def detect_kink(f, window=10, min_change=1e-3):
+def detect_kink(f):
     """Locate a slope discontinuity of ``log f`` on a tabulated DR pdf.
 
     The knot with the largest jump between adjacent log-slopes is the
     candidate; straight lines fitted a couple of knots away on each side are
     intersected to refine the location (exact when both branches are
     log-linear).  Returns the kink's z, or None when the largest jump is
-    below ``min_change``.
+    below 1e-3.
     """
     if isinstance(f, DrPdf):
         table = f.table if f.table is not None else f.tabulated(4097)
@@ -457,10 +453,10 @@ def detect_kink(f, window=10, min_change=1e-3):
         [change[lo_n : max(lo_n, k - 2)], change[min(change.size, k + 1) : hi_n]]
     )
     background = float(local.max()) if local.size else 0.0
-    if change[k - 1] < min_change or change[k - 1] < 10.0 * (background + 1e-15):
+    if change[k - 1] < 1e-3 or change[k - 1] < 10.0 * (background + 1e-15):
         return None
-    lo = max(0, k - window)
-    hi = min(z.size, k + window + 1)
+    lo = max(0, k - 10)
+    hi = min(z.size, k + 11)
     left = slice(lo, max(lo + 2, k - 1))
     right = slice(min(hi - 2, k + 2), hi)
     c1, b1 = np.polyfit(z[left], logf[left], 1)
@@ -476,11 +472,15 @@ class ExprError(ValueError):
 
 @dataclass
 class ExprResult:
-    """Evaluated expression: a DR cdf and, when well-defined, its pdf."""
+    """Evaluated expression: a DR cdf and its label."""
 
-    pdf: object
     cdf: DrCdf
     label: str
+
+    @property
+    def pdf(self):
+        """The cdf's DR pdf, or None when it has none."""
+        return self.cdf.pdf
 
 
 _CALL_RE = re.compile(r"^([A-Za-z_]\w*)\((.*)\)$", re.S)
@@ -543,16 +543,15 @@ def _leaf(text):
     except ValueError:
         spec = None
     if spec is not None:
-        pdf, cdf = dr_family(spec)
-        return ExprResult(pdf=pdf, cdf=cdf, label=spec.label())
+        return ExprResult(cdf=dr_family(spec)[1], label=spec.label())
     if os.path.exists(text):
         table = load_tabulated(text)
         if table.monotone == "nonincreasing":
-            pdf = DrPdf(table=table, mass_tol=1e-3)
-            return ExprResult(pdf=pdf, cdf=cdf_of_dr(pdf), label=text)
+            return ExprResult(cdf=cdf_of_dr(DrPdf(table=table, mass_tol=1e-3)), label=text)
         cdf = DrCdf(table=table, require_concave=False)
-        pdf = pdf_of_cdf(cdf) if cdf.concave else None
-        return ExprResult(pdf=pdf, cdf=cdf, label=text)
+        if cdf.concave:
+            cdf = DrCdf(table=table, pdf=pdf_of_cdf(cdf))
+        return ExprResult(cdf=cdf, label=text)
     raise ExprError(f"unknown identifier: {text!r} (not a family spec or file)")
 
 
@@ -604,8 +603,7 @@ def eval_expr(text):
         except ValueError as exc:
             raise ExprError(str(exc)) from exc
         fn = inverse_mix if op == "mix" else direct_mix
-        pdf = fn(_need_pdf(a), _need_pdf(b), alpha)
-        return ExprResult(pdf=pdf, cdf=cdf_of_dr(pdf), label=label)
+        return ExprResult(cdf=cdf_of_dr(fn(_need_pdf(a), _need_pdf(b), alpha)), label=label)
     if op == "pow":
         dist = [a for a in args if isinstance(a, ExprResult)]
         nums = [a for a in args if isinstance(a, float)]
@@ -615,19 +613,16 @@ def eval_expr(text):
             k = _power(kwargs.get("k", nums[0] if nums else None))
         except ValueError as exc:
             raise ExprError(str(exc)) from exc
-        cdf = otimes_power(dist[0].cdf, k)
-        return ExprResult(pdf=cdf.pdf, cdf=cdf, label=label)
+        return ExprResult(cdf=otimes_power(dist[0].cdf, k), label=label)
     if op in ("join", "meet"):
         a, b = binary()
-        cdf = join(a.cdf, b.cdf) if op == "join" else meet(a.cdf, b.cdf)
         # collapsed lattices hand back an input cdf, which keeps its pdf
-        return ExprResult(pdf=cdf.pdf, cdf=cdf, label=label)
+        cdf = join(a.cdf, b.cdf) if op == "join" else meet(a.cdf, b.cdf)
+        return ExprResult(cdf=cdf, label=label)
     if op == "conv":
         a, b = binary()
-        cdf = convolve_dr(_need_pdf(a), _need_pdf(b))
-        return ExprResult(pdf=cdf.pdf, cdf=cdf, label=label)
+        return ExprResult(cdf=convolve_dr(_need_pdf(a), _need_pdf(b)), label=label)
     if op == "otimes":
         a, b = binary()
-        cdf = otimes(a.cdf, b.cdf)
-        return ExprResult(pdf=cdf.pdf, cdf=cdf, label=label)
+        return ExprResult(cdf=otimes(a.cdf, b.cdf), label=label)
     raise ExprError(f"unknown operation {op!r}")  # pragma: no cover

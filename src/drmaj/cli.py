@@ -152,7 +152,7 @@ def _discrete_outputs(counts, args, manifest_extra):
         _write_columns(
             f"{args.out}/discrete_cdf.csv",
             ["count", "cumulative"],
-            (k, step.step_heights),
+            (k, step(k)),
         ),
     ]
     manifest = {

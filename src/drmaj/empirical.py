@@ -319,9 +319,7 @@ def discrete_empirical_dr(counts) -> tuple[ProbVector, DrCdf]:
         idx = np.clip(np.floor(np.asarray(z, dtype=np.float64)), 0, k).astype(int)
         return partial[idx]
 
-    cdf = DrCdf(fn=step, z_hi=float(k), require_concave=False, name="discrete")
-    cdf.step_heights = partial[1:]
-    return pv, cdf
+    return pv, DrCdf(fn=step, z_hi=float(k), require_concave=False, name="discrete")
 
 
 def bin_2d(data: Dataset, bins_x: int, bins_y: int):

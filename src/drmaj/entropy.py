@@ -172,9 +172,9 @@ def _level_quad(f, g_of_u, what):
     sum.  A panel whose error, in every column, is within its share of the
     tolerance (its width over T) is kept; the others are bisected, until the
     errors of all panels sum within the tolerance, ``_LEVEL_RTOL`` times the
-    larger of 1 and the column's total.  A non-finite value or a run past
-    ``_MAX_PANELS`` panels raises: the tail does not decay, or the measure
-    has more jumps than the panels can resolve.
+    larger of 1 and the column's total.  A non-finite value raises (the tail
+    does not decay), and so does a run past ``_MAX_PANELS`` panels (the
+    measure has more jumps than the panels can resolve).
     """
     vmax = float(f.max_value)
     end = math.log(vmax) + 745.0
@@ -213,7 +213,10 @@ def _level_quad(f, g_of_u, what):
             break
         panels += int(np.count_nonzero(todo))
         if panels > _MAX_PANELS:
-            raise fail()
+            raise ValueError(
+                f"{what} quadrature did not converge: more than {_MAX_PANELS} panels; "
+                "the measure has more jumps than the panels can resolve"
+            )
         lo, mid, hi = lo[todo], mid[todo], hi[todo]
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
     # a u-side integrand still flat at t ~ 300 (u ~ vmax * e^-300) means the

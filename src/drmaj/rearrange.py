@@ -210,36 +210,31 @@ def load_tabulated(path):
 
 
 class DensityFn:
-    """Nonnegative density on a finite box.
+    """Nonnegative univariate density on a finite interval ``[lo, hi]``.
 
     Parameters
     ----------
-    dim : int
-        Number of coordinates.
     fn : callable
-        Vectorised evaluator mapping a ``(k, dim)`` array to ``(k,)`` values.
-        For ``dim == 1`` a plain ``(k,) -> (k,)`` callable is also accepted.
-    support : array_like
-        ``(dim, 2)`` finite per-dimension bounds.
+        Vectorised evaluator mapping a ``(k,)`` array to ``(k,)`` values.
+    lo, hi : float
+        Finite support bounds, ``lo < hi``.
     integral_tol : float or None
         Monte Carlo integral check tolerance at construction (default 5e-2
         with a fixed internal seed); ``None`` skips the check.
     """
 
-    def __init__(self, dim, fn, support, integral_tol=5e-2, mc_budget=65536, name=""):
-        self.dim = int(dim)
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        support = np.asarray(support, dtype=np.float64).reshape(self.dim, 2)
-        if not np.all(np.isfinite(support)):
+    def __init__(self, fn, lo, hi, integral_tol=5e-2, name=""):
+        lo, hi = float(lo), float(hi)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("unbounded support requires explicit truncation")
-        if np.any(support[:, 1] <= support[:, 0]):
+        if hi <= lo:
             raise ValueError("support bounds must satisfy lo < hi")
-        self.support = support
+        self.lo = lo
+        self.hi = hi
         self._fn = fn
         self.name = name
         if integral_tol is not None:
-            est = self._mc_integral(mc_budget)
+            est = self._mc_integral()
             if abs(est - 1.0) > integral_tol:
                 raise ValueError(
                     f"density integral check failed: MC estimate {est:.4f} "
@@ -248,42 +243,19 @@ class DensityFn:
 
     @classmethod
     def from_univariate(cls, fn, lo, hi, **kw):
-        return cls(1, fn, [[lo, hi]], **kw)
+        return cls(fn, lo, hi, **kw)
 
-    def eval(self, points):
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim == 1:
-            if self.dim == 1:
-                out = self._eval1d(pts)
-                return np.asarray(out, dtype=np.float64)
-            pts = pts.reshape(1, -1)
-        if pts.shape[1] != self.dim:
-            raise ValueError(f"points must have {self.dim} columns")
-        if self.dim == 1:
-            out = self._eval1d(pts[:, 0])
-        else:
-            out = self._fn(pts)
-        return np.asarray(out, dtype=np.float64)
-
-    def _eval1d(self, z):
-        try:
-            return self._fn(z)
-        except (TypeError, ValueError, IndexError):
-            return self._fn(z.reshape(-1, 1))
+    def eval(self, z):
+        return np.asarray(self._fn(np.asarray(z, dtype=np.float64)), dtype=np.float64)
 
     __call__ = eval
 
-    def volume(self):
-        return float(np.prod(self.support[:, 1] - self.support[:, 0]))
-
-    def _mc_integral(self, budget):
+    def _mc_integral(self):
         rng = np.random.Generator(np.random.Philox(key=_INTEGRAL_CHECK_SEED))
-        u = rng.random((int(budget), self.dim))
-        pts = self.support[:, 0] + u * (self.support[:, 1] - self.support[:, 0])
-        vals = self.eval(pts if self.dim > 1 else pts[:, 0])
+        vals = self.eval(self.lo + rng.random(65536) * (self.hi - self.lo))
         if np.any(vals < -1e-12):
             raise ValueError("density takes negative values")
-        return float(np.mean(vals) * self.volume())
+        return float(np.mean(vals) * (self.hi - self.lo))
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +363,8 @@ def measure_function(f, thresholds, n_samples=32769):
     """
     if not isinstance(f, DensityFn):
         raise TypeError("measure_function expects a DensityFn")
-    if f.dim != 1:
-        raise ValueError("measure_function is defined for univariate densities")
     pts = thresholds.points if isinstance(thresholds, Grid) else _asarray1d(thresholds)
-    lo, hi = f.support[0]
-    z = np.linspace(lo, hi, int(n_samples))
+    z = np.linspace(f.lo, f.hi, int(n_samples))
     fz = f.eval(z)
     maxf = float(fz.max())
     if np.any(pts <= 0):
@@ -775,14 +744,14 @@ def _swap_axes_to_table(measures, thresholds, max_value):
     return TabulatedFn(zs, vs, "nonincreasing")
 
 
-def dr_from_density_1d(f, m_thresholds=16384, n_samples=32769, normalize=True):
+def dr_from_density_1d(f, m_thresholds=16384, normalize=True):
     """Decreasing rearrangement of a univariate density.
 
     Thresholds are placed geometrically between ``max f * (1 - 1e-6)`` and
     ``max f * 1e-6``; the superlevel measure at each threshold is computed by
     subdividing the support into sign-constant intervals of ``f - y`` at
-    ``n_samples`` resolution, and the (measure, threshold) pairs are swapped
-    into a tabulated nonincreasing pdf.
+    32769 samples, and the (measure, threshold) pairs are swapped into a
+    tabulated nonincreasing pdf.
 
     Parameters
     ----------
@@ -790,8 +759,6 @@ def dr_from_density_1d(f, m_thresholds=16384, n_samples=32769, normalize=True):
         Univariate density on a finite interval.
     m_thresholds : int
         Number of thresholds (at least 8).
-    n_samples : int
-        Support subdivision resolution.
     normalize : bool
         Rescale the table to unit mass after the preservation check.
 
@@ -801,14 +768,11 @@ def dr_from_density_1d(f, m_thresholds=16384, n_samples=32769, normalize=True):
     """
     if not isinstance(f, DensityFn):
         raise TypeError("dr_from_density_1d expects a DensityFn")
-    if f.dim != 1:
-        raise ValueError("dr_from_density_1d is defined for univariate densities")
     m_thresholds = int(m_thresholds)
     if m_thresholds < 8:
         raise ValueError("insufficient resolution: m_thresholds must be >= 8")
-    lo, hi = f.support[0]
-    z = np.linspace(lo, hi, int(n_samples))
-    fz = np.asarray(f.eval(z), dtype=np.float64)
+    z = np.linspace(f.lo, f.hi, 32769)
+    fz = f.eval(z)
     if np.any(fz < -1e-12):
         raise ValueError("density takes negative values")
     fz = np.maximum(fz, 0.0)
@@ -832,11 +796,11 @@ def dr_from_density_1d(f, m_thresholds=16384, n_samples=32769, normalize=True):
     return DrPdf(table=table, mass_tol=None, name=f.name and f"dr({f.name})")
 
 
-def cdf_of_dr(f, grid=None):
+def cdf_of_dr(f):
     """Integrate a DR pdf into its DR cdf.
 
-    Cumulative trapezoidal integration on ``grid`` (default: the pdf's own
-    knots for tabulated pdfs), clamped monotone.  The total must land within
+    Cumulative trapezoidal integration on the pdf's own knots (tabulated
+    pdfs) or 16385 uniform points (closed forms), clamped monotone.  The total must land within
     1e-4 of 1; the curve is then rescaled to end exactly at 1.
 
     Returns
@@ -846,15 +810,7 @@ def cdf_of_dr(f, grid=None):
     """
     if not isinstance(f, DrPdf):
         raise TypeError("cdf_of_dr expects a DrPdf")
-    if grid is None:
-        if f.table is not None:
-            z = f.table.grid
-        else:
-            z = np.linspace(0.0, f.support_hi(), 16385)
-    else:
-        z = grid.points if isinstance(grid, Grid) else _asarray1d(grid)
-        if z[0] != 0.0:
-            z = np.concatenate([[0.0], z[z > 0]])
+    z = f.table.grid if f.table is not None else np.linspace(0.0, f.support_hi(), 16385)
     cum = np.maximum.accumulate(cumulative_trapezoid(f(z), z, initial=0))
     total = float(cum[-1])
     if abs(total - 1.0) > 1e-4:
@@ -864,18 +820,16 @@ def cdf_of_dr(f, grid=None):
     return DrCdf(table=table, pdf=f, name=f.name and f"cdf({f.name})")
 
 
-def pdf_of_cdf(F, n=4097):
+def pdf_of_cdf(F):
     """Recover a step DR pdf from a concave piecewise-linear DR cdf.
 
     The derivative of a concave piecewise-linear cdf is a nonincreasing step
-    function; steps are stored with the adjacent-knot convention.
+    function; steps are stored with the adjacent-knot convention.  A closed
+    form is first tabulated on 4097 points.
     """
     if not isinstance(F, DrCdf):
         raise TypeError("pdf_of_cdf expects a DrCdf")
-    if F.table is None:
-        table = F.tabulated(n)
-    else:
-        table = F.table
+    table = F.table if F.table is not None else F.tabulated(4097)
     g = table.grid
     v = table.values
     if not _concave_flag(g, v):
@@ -930,11 +884,8 @@ def functional_inverse(g):
     return TabulatedFn(new_grid, new_vals, g.monotone)
 
 
-def eval_pdf(f, z):
-    """Evaluate a DR pdf (error for z < 0; zero beyond the table)."""
-    return f(z)
+#: ``eval_pdf(f, z)``: the DR pdf at z (error for z < 0; zero beyond the table)
+eval_pdf = DrPdf.__call__
 
-
-def eval_cdf(F, z):
-    """Evaluate a DR cdf (error for z < 0; final value beyond the table)."""
-    return F(z)
+#: ``eval_cdf(F, z)``: the DR cdf at z (error for z < 0; final value beyond the table)
+eval_cdf = DrCdf.__call__

@@ -208,7 +208,7 @@ def test_discrete_empirical_dr():
     assert cdf(1.5) == pytest.approx(0.5)
     assert cdf(3.2) == pytest.approx(1.0)
     assert cdf(50.0) == 1.0
-    assert np.allclose(cdf.step_heights, [0.5, 0.8, 1.0, 1.0])
+    assert np.allclose(cdf(np.arange(1.0, 5.0)), [0.5, 0.8, 1.0, 1.0])
 
     with pytest.raises(ValueError, match="integers"):
         discrete_empirical_dr([1.5, 2.0])

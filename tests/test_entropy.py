@@ -158,6 +158,8 @@ def test_mix_with_convolution_operand(op, scale):
         ("pdf", "otimes(LEAF, exp:n=1)"),
         ("cdf", "mix(LEAF, exp:n=1)"),
         ("cdf", "dmix(LEAF, exp:n=1, alpha=0.3)"),
+        ("cdf", "otimes(LEAF, exp:n=1)"),
+        ("cdf", "pow(LEAF, 2)"),
     ],
 )
 def test_mix_with_file_leaf(tmp_path, table, expr):
@@ -209,6 +211,14 @@ def test_undecayed_tail_is_rejected():
     )
     with pytest.raises(ValueError, match="tail has not decayed"):
         entropy_dr(tab)
+
+
+def test_panel_budget_is_named():
+    # the crossing meet's tabulated slopes give a staircase measure whose
+    # hundreds of jumps exhaust the panels; its tail decays
+    f = eval_expr("otimes(meet(mvn:n=1, exp:n=1), exp:n=1)").pdf
+    with pytest.raises(ValueError, match="did not converge: more than 2000 panels"):
+        entropy_dr(f)
 
 
 def test_binary_joint_layout_and_margins():

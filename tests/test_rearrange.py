@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drmaj.families import dr_beta32
+from drmaj.algebra import inverse_mix
+from drmaj.families import dr_beta32, dr_exp_iid
 from drmaj.rearrange import (
     KNOT_GAP,
     DensityFn,
@@ -196,6 +197,27 @@ def test_evaluation_domain():
         eval_cdf(F, np.array([-1.0, 0.5]))
     assert eval_pdf(dr, 100.0) == 0.0
     assert eval_cdf(F, 100.0) == 1.0
+
+
+@pytest.mark.parametrize("route", ["inverse", "table", "bisection"])
+def test_quantile_at_inverts_the_cdf(route):
+    if route == "inverse":
+        F = dr_exp_iid(2)[1]
+        assert F.inverse is not None
+    elif route == "table":
+        F = cdf_of_dr(inverse_mix(dr_exp_iid(1)[0], dr_exp_iid(2)[0]))
+        assert F.table is not None and F.inverse is None
+    else:
+        F = dr_beta32()[1]
+        assert F.table is None and F.inverse is None
+    p = np.array([0.0, 1e-3, 0.25, 0.5, 0.9, 0.999])
+    z = F.quantile_at(p)
+    assert np.all(np.diff(z) > 0.0)
+    assert F(z) == pytest.approx(p, abs=1e-9)
+    assert F(F.quantile_at(0.5)) == pytest.approx(0.5, abs=1e-9)
+    for bad in (-0.1, 1.5, [0.5, 1.0 + 1e-9]):
+        with pytest.raises(ValueError, match="quantile levels"):
+            F.quantile_at(bad)
 
 
 def test_functional_inverse_roundtrip():
