@@ -28,6 +28,7 @@ from .rearrange import (
     DensityFn,
     DrCdf,
     DrPdf,
+    Measure,
     TabulatedFn,
     _swap_axes_to_table,
     cdf_of_dr,
@@ -95,43 +96,51 @@ def _value_thresholds(vmax, n_grid):
     return np.unique(np.concatenate([base, top]))[::-1]
 
 
-def _pdf_from_measure(measure, maxima, exact, n_grid=VALUE_GRID_POINTS, jumps=None):
-    """Invert a mixture's nonincreasing measure function into a tabulated DrPdf.
+def _pdf_from_measure(measure, n_grid=VALUE_GRID_POINTS):
+    """Invert a mixture's :class:`Measure` into a tabulated DrPdf.
 
-    ``maxima`` are the component maxima on the mixture's value axis; the
-    largest is the mixture's maximum, and the measure at each smaller one is
-    attached as a ``kink_candidates`` entry.  ``jumps`` (same axis) are the
-    levels where a step measure jumps; bracketing each keeps the flat pdf
-    stretches, and hence the mass, exact.  ``exact`` is False when the
-    measure interpolates samples of an operand's pdf (an operand with no
-    ``inverse``); the result then keeps only its own table, like that operand.
+    Bracketing each of the measure's ``jumps`` in the value grid keeps the
+    flat pdf stretches, and hence the mass, exact.  The result carries the
+    measure only when it is exact; one that interpolates an operand's pdf
+    samples leaves the result with only its own table, like that operand.
     """
-    vmax = max(maxima)
+    vmax = measure.vmax
     if not math.isfinite(vmax) or vmax <= 0.0:
         raise ValueError("mixture has degenerate value range; cannot invert")
     thresholds = _value_thresholds(vmax, n_grid)
-    if jumps is not None:
-        j = jumps[(jumps > vmax * VALUE_FLOOR_RATIO) & (jumps < vmax * (1.0 - 1e-9))]
+    j = measure.jumps
+    j = j[(j > vmax * VALUE_FLOOR_RATIO) & (j < vmax * (1.0 - 1e-9))]
+    if j.size:
         brackets = np.concatenate([j * (1.0 - 1e-9), j * (1.0 + 1e-9)])
         thresholds = np.unique(np.concatenate([thresholds, brackets]))[::-1]
-    measures = np.asarray(measure(thresholds), dtype=np.float64)
+    measures = np.asarray(measure.fn(thresholds), dtype=np.float64)
     if not np.all(np.isfinite(measures)):
         raise ValueError("measure function produced non-finite values")
     table = _swap_axes_to_table(measures, thresholds, vmax)
-    out = DrPdf(table=table, inverse=measure if exact else None, mass_tol=1e-5)
-    cand_v = sorted({m for m in maxima if m < vmax * (1.0 - 1e-12)}, reverse=True)
-    out.kink_candidates = np.asarray([float(measure(v)) for v in cand_v])
-    return out
+    return DrPdf(table=table, measure=measure if measure.exact else None, mass_tol=1e-5)
 
 
-def _scaled_measure_sum(measures, weights):
-    """Measure of an inverse mix, ``m(v) = sum_i m_i(v / w_i)``."""
+def _measure_of_pdf(f):
+    """The pdf's exact measure, or one interpolating its samples."""
+    return f.measure or Measure(f.measure_at, f.max_value, exact=False)
 
-    def mixed(v):
-        v = np.asarray(v, dtype=np.float64)
-        return sum(np.asarray(m(v / w), dtype=np.float64) for m, w in zip(measures, weights))
 
-    return mixed
+def _measure_sum(measures, scales, coefs):
+    """Measure ``sum_i c_i m_i(v / s_i)`` of a mix, exact when every term is.
+
+    Each scaled maximum ``s_i max m_i`` below the largest is a break of the
+    sum, as is each operand's break times ``s_i``; its jumps scale the same way.
+    """
+    maxima = [s * m.vmax for m, s in zip(measures, scales)]
+    vmax = max(maxima)
+    entries = [mx for mx in maxima if mx < vmax * (1.0 - 1e-12)]
+    return Measure(
+        lambda v: sum(c * m(v / s) for m, s, c in zip(measures, scales, coefs)),
+        vmax,
+        np.concatenate([entries] + [s * m.breaks for m, s in zip(measures, scales)]),
+        np.concatenate([s * m.jumps for m, s in zip(measures, scales)]),
+        all(m.exact for m in measures),
+    )
 
 
 def inverse_mix(f1, f2, w=0.5):
@@ -139,8 +148,8 @@ def inverse_mix(f1, f2, w=0.5):
 
     The component measures are evaluated at ``v/(1-alpha)`` and ``v/alpha``
     (clamped to 0 above each maximum) and summed; the sum is inverted on a
-    geometric value grid.  Candidate kink locations, where one component's
-    scaled maximum is crossed, are attached as ``kink_candidates``.
+    geometric value grid.  The levels where one component's scaled maximum
+    is crossed are the result's ``measure.breaks``.
     """
     _require_pdf(f1, "inverse_mix")
     _require_pdf(f2, "inverse_mix")
@@ -160,10 +169,8 @@ def inverse_mix_many(pdfs, weights):
         raise ValueError("one weight per pdf required")
     if not np.all(wts > 0.0) or abs(float(wts.sum()) - 1.0) > 1e-9:  # NaN fails "> 0"
         raise ValueError("weights must be positive and sum to 1")
-    mixed = _scaled_measure_sum([f.measure_at for f in pdfs], wts)
-    scaled_maxima = [w * f.max_value for w, f in zip(wts, pdfs)]
-    exact = all(f.inverse is not None for f in pdfs)
-    return _pdf_from_measure(mixed, scaled_maxima, exact)
+    measures = [_measure_of_pdf(f) for f in pdfs]
+    return _pdf_from_measure(_measure_sum(measures, wts, np.ones_like(wts)))
 
 
 def direct_mix(f1, f2, w=0.5):
@@ -177,17 +184,8 @@ def direct_mix(f1, f2, w=0.5):
     _require_pdf(f1, "direct_mix")
     _require_pdf(f2, "direct_mix")
     a = MixWeight.coerce(w).alpha
-    m1, m2 = f1.measure_at, f2.measure_at
-
-    def mixed(v):
-        v = np.asarray(v, dtype=np.float64)
-        return (1.0 - a) * np.asarray(m1(v), dtype=np.float64) + a * np.asarray(
-            m2(v), dtype=np.float64
-        )
-
-    exact = f1.inverse is not None and f2.inverse is not None
-    maxima = [f1.max_value, f2.max_value]
-    return _pdf_from_measure(mixed, maxima, exact)
+    measures = [_measure_of_pdf(f1), _measure_of_pdf(f2)]
+    return _pdf_from_measure(_measure_sum(measures, (1.0, 1.0), (1.0 - a, a)))
 
 
 def inverse_mix_discrete(p, q, w=0.5):
@@ -222,32 +220,26 @@ def direct_mix_discrete(p, q, w=0.5):
 
 
 def _measure_of_cdf(F):
-    """Superlevel measure of a DR cdf's derivative.
+    """Superlevel :class:`Measure` of a DR cdf's derivative.
 
-    Returns ``(measure callable, max value, jump levels)``.  Prefers the
-    attached pdf (continuous measure, no jumps); otherwise differentiates a
-    tabulation.  A non-concave table (a join of crossing cdfs) is handled by
-    rearranging its segment slopes, which is the DR of its derivative; the
-    resulting measure is a step function and its jump levels are returned so
-    callers can resolve them in their value grids.
+    Prefers the attached pdf; otherwise differentiates a tabulation.  A
+    non-concave table (a join of crossing cdfs) is handled by rearranging its
+    segment slopes, which is the DR of its derivative; the resulting measure
+    is a step function, exact, with a jump at each distinct slope.
     """
     if F.pdf is not None:
-        return F.pdf.measure_at, F.pdf.max_value, None
+        return _measure_of_pdf(F.pdf)
     table = F.table if F.table is not None else F.tabulated(8193)
-    g = table.grid
-    widths = np.diff(g)
+    widths = np.diff(table.grid)
     slopes = np.diff(table.values) / widths
     order = np.argsort(-slopes, kind="stable")
     s_desc = slopes[order]
     cum_w = np.concatenate([[0.0], np.cumsum(widths[order])])
 
-    def measure(v):
-        vv = np.atleast_1d(np.asarray(v, dtype=np.float64))
-        count = np.searchsorted(-s_desc, -vv, side="right")
-        out = cum_w[count]
-        return out if np.asarray(v).ndim else float(out[0])
+    def step(v):
+        return cum_w[np.searchsorted(-s_desc, -v, side="right")]
 
-    return measure, float(s_desc[0]), np.unique(s_desc)
+    return Measure(step, s_desc[0], jumps=np.unique(s_desc))
 
 
 def otimes(F1, F2, n_grid=VALUE_GRID_POINTS):
@@ -257,17 +249,8 @@ def otimes(F1, F2, n_grid=VALUE_GRID_POINTS):
     """
     if not isinstance(F1, DrCdf) or not isinstance(F2, DrCdf):
         raise TypeError("otimes expects DrCdf arguments")
-    measures, maxima, jump_sets = zip(*(_measure_of_cdf(F) for F in (F1, F2)))
-    jump_sets = [0.5 * j for j in jump_sets if j is not None]
-    # a step measure of a cdf's slopes is exact; one interpolating pdf samples is not
-    exact = all(F.pdf is None or F.pdf.inverse is not None for F in (F1, F2))
-    pdf = _pdf_from_measure(
-        _scaled_measure_sum(measures, (0.5, 0.5)),
-        [0.5 * mv for mv in maxima],
-        exact,
-        n_grid,
-        np.concatenate(jump_sets) if jump_sets else None,
-    )
+    measures = [_measure_of_cdf(F) for F in (F1, F2)]
+    pdf = _pdf_from_measure(_measure_sum(measures, (0.5, 0.5), (1.0, 1.0)), n_grid)
     return cdf_of_dr(pdf)
 
 
@@ -288,26 +271,18 @@ def otimes_power(F, k):
     scaled_pdf = None
     if F.pdf is not None:
         p = F.pdf
-        inverse = None if p.inverse is None else (
-            lambda v: k * np.asarray(p.inverse(k * np.asarray(v)), dtype=np.float64)
-        )
+        measure = None if p.measure is None else p.measure.dilated(k)
         if p.table is not None:
-            scaled_pdf = DrPdf(
-                table=TabulatedFn(p.table.grid * k, p.table.values / k, "nonincreasing"),
-                inverse=inverse,
-                mass_tol=1e-4,
-                name=p.name,
-            )
+            table = TabulatedFn(p.table.grid * k, p.table.values / k, "nonincreasing")
+            scaled_pdf = DrPdf(table=table, measure=measure, mass_tol=1e-4, name=p.name)
         else:
             scaled_pdf = DrPdf(
                 fn=lambda z: np.asarray(p(np.asarray(z, dtype=np.float64) / k)) / k,
                 z_max=p.z_max * k if math.isfinite(p.z_max) else math.inf,
-                inverse=inverse,
+                measure=measure,
                 probe_hi=p.probe_hi * k,
                 name=p.name,
             )
-        if hasattr(p, "kink_candidates"):
-            scaled_pdf.kink_candidates = k * np.asarray(p.kink_candidates)
     if F.table is not None:
         return DrCdf(
             table=TabulatedFn(F.table.grid * k, F.table.values, "nondecreasing"),

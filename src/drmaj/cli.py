@@ -114,10 +114,8 @@ def cmd_expr(args):
 def cmd_entropy(args):
     res = eval_expr(args.input)
     if res.pdf is None:
-        print(
-            "error: input has no usable density (cdf is not concave)",
-            file=sys.stderr,
-        )
+        cause = "crossing lattice result has no pdf" if res.cdf.concave else "cdf is not concave"
+        print(f"error: input has no usable density ({cause})", file=sys.stderr)
         return EXIT_NUMERIC
     mean, variance = moments_dr(res.pdf)
     kind = EntropyKind.tsallis(args.gamma)

@@ -286,7 +286,7 @@ def empirical_dr_cdf(dr: DrPdf, z_star, renormalise_pdf=False) -> DrCdf:
                 name=dr.name,
             )
         else:
-            pdf = None  # scaling a closure would break its exact inverse
+            pdf = None  # a scaled closure would not match its exact measure
     out = DrCdf(table=TabulatedFn(z, fvals), pdf=pdf, name=dr.name)
     out.mass = total
     return out

@@ -2,21 +2,22 @@
 
 Rearranging a density does not change integrals of pointwise gauges, so the
 entropy of a DR pdf equals the differential entropy of every density that
-rearranges to it.  A DR with a superlevel measure m(u) (closed forms, and
-mixes and tropical products built from them) is integrated on the level
-side, by the layer-cake formula: the entropy is the integral of
-m(u) h'(u) du, the mean of m(u)^2 / 2 du and the second moment of
-m(u)^3 / 3 du.  The level axis is taken as t = -log(u / max f), where the
-integrands decay, and cut into panels by an adaptive Gauss-Legendre 21/10
-rule: every pass evaluates the measure once, on the nodes of all panels not
-yet accepted, accepts a panel whose 21- and 10-point sums agree within its
-share of the tolerance, and bisects the others; it stops when the summed
-panel errors meet the tolerance (see ``_level_quad``).  Tabulated DRs
-without a measure fall back to trapezoid sums on their knots, with tails
-beyond the table contributing zero.  So do mixes and tropical products of
-an operand without a measure (a table, a convolution, ``beta32``): their
-measure would interpolate that operand's samples, whose thousands of kinks
-the panel rule cannot resolve within its tolerance.
+rearranges to it.  A DR with an exact superlevel ``Measure`` m(u) (closed
+forms, and mixes and tropical products built from them) is integrated on the
+level side, by the layer-cake formula: the entropy is the integral of m(u)
+h'(u) du, the mean of m(u)^2 / 2 du and the second moment of m(u)^3 / 3 du.
+The level axis is taken as t = -log(u / max f), where the integrands decay,
+and cut into panels, with edges at the measure's break levels, by an
+adaptive Gauss-Legendre 21/10 rule: every pass evaluates the measure once,
+on the nodes of all panels not yet accepted, accepts a panel whose 21- and
+10-point sums agree within its share of the tolerance, and bisects the
+others; it stops when the summed panel errors meet the tolerance (see
+``_level_quad``).  Tabulated DRs without a measure fall back to trapezoid
+sums on their knots, with tails beyond the table contributing zero.  So do
+mixes and tropical products of an operand without a measure (a table, a
+convolution, ``beta32``): their measure would interpolate that operand's
+samples, whose thousands of kinks the panel rule cannot resolve within its
+tolerance.
 """
 
 from __future__ import annotations
@@ -149,14 +150,9 @@ _LEVEL_RTOL = 1e-10
 
 
 def _level_breaks(f):
-    """Quadrature split points in t = -log(u / vmax), from known pdf kinks."""
+    """Quadrature split points in t = -log(u / vmax), at the measure's break levels."""
     vmax = float(f.max_value)
-    breaks = []
-    for zk in np.atleast_1d(getattr(f, "kink_candidates", ())):
-        u = float(f(float(zk)))
-        if 0.0 < u < vmax:
-            breaks.append(-math.log(u / vmax))
-    return sorted({b for b in breaks if b > 1e-12})
+    return [-math.log(u / vmax) for u in f.measure.breaks if 0.0 < u < vmax * (1.0 - 1e-12)]
 
 
 def _level_quad(f, g_of_u, what):
@@ -166,8 +162,8 @@ def _level_quad(f, g_of_u, what):
     maps n levels to an (n, k) array; G carries the superlevel measure, so
     polynomial-in-log growth is damped by the u factor.  T = log(vmax) + 745,
     beyond which u underflows to 0.  The first panels have edges at 0, at the
-    known kinks (``_level_breaks``) and at powers of 2.  Each pass evaluates
-    G once, on the nodes of every pending panel; a panel's value is its
+    measure's break levels (``_level_breaks``) and at powers of 2.  Each pass
+    evaluates G once, on the nodes of every pending panel; a panel's value is its
     21-point Gauss-Legendre sum and its error the distance to the 10-point
     sum.  A panel whose error, in every column, is within its share of the
     tolerance (its width over T) is kept; the others are bisected, until the
@@ -249,7 +245,7 @@ def _check_tail(values, what):
 
 def entropy_dr(f: DrPdf, kind=SHANNON) -> float:
     """Differential entropy ``int h(f~(z)) dz`` of a DR pdf."""
-    if f.inverse is not None:
+    if f.measure is not None:
         (h,) = _level_quad(
             f, lambda u: (f.measure_at(u) * _gauge_slope(u, kind))[:, None], "entropy"
         )
@@ -261,7 +257,7 @@ def entropy_dr(f: DrPdf, kind=SHANNON) -> float:
 
 def moments_dr(f: DrPdf) -> tuple[float, float]:
     """Mean and variance of the rearranged variable z under the DR density."""
-    if f.inverse is not None:
+    if f.measure is not None:
 
         def halves_and_thirds(u):
             m = f.measure_at(u)

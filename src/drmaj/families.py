@@ -20,7 +20,7 @@ import re
 import numpy as np
 from scipy import special, stats
 
-from .rearrange import DrCdf, DrPdf
+from .rearrange import DrCdf, DrPdf, Measure
 
 __all__ = [
     "FamilySpec",
@@ -135,6 +135,14 @@ def parse_family(text):
         raise ValueError(f"invalid family spec {text!r}: {exc}") from None
 
 
+def _closed_form(spec, pdf, measure, cdf, cdf_inverse):
+    """DR pdf and cdf of a closed form on [0, inf), probed to its 1 - 1e-9 quantile."""
+    z_hi = float(cdf_inverse(np.array([1.0 - 1e-9]))[0])
+    name = spec.label()
+    f = DrPdf(fn=pdf, z_max=math.inf, measure=measure, probe_hi=z_hi, name=name)
+    return f, DrCdf(fn=cdf, pdf=f, inverse=cdf_inverse, z_hi=z_hi, name=name)
+
+
 # ---------------------------------------------------------------------------
 # multivariate normal
 # ---------------------------------------------------------------------------
@@ -159,7 +167,6 @@ def dr_mvn(n=1, var=1.0):
         return amp * np.exp(-np.power(z / vn, 2.0 / n) / (2.0 * var))
 
     def pdf_inverse(v):
-        v = np.asarray(v, dtype=np.float64)
         arg = np.clip(v / amp, 1e-300, 1.0)
         return vn * np.power(-2.0 * var * np.log(arg), n / 2.0)
 
@@ -173,11 +180,7 @@ def dr_mvn(n=1, var=1.0):
         r2 = 2.0 * var * special.gammaincinv(n / 2.0, p)
         return vn * np.power(r2, n / 2.0)
 
-    z_hi = float(cdf_inverse(np.array([1.0 - 1e-9]))[0])
-    name = spec.label()
-    f = DrPdf(fn=pdf, z_max=math.inf, inverse=pdf_inverse, probe_hi=z_hi, name=name)
-    F = DrCdf(fn=cdf, pdf=f, inverse=cdf_inverse, z_hi=z_hi, name=name)
-    return f, F
+    return _closed_form(spec, pdf, Measure(pdf_inverse, amp), cdf, cdf_inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +203,6 @@ def dr_exp_iid(n=1):
         return np.exp(-np.power(fact * z, 1.0 / n))
 
     def pdf_inverse(v):
-        v = np.asarray(v, dtype=np.float64)
         v = np.clip(v, 1e-300, 1.0)
         return np.power(-np.log(v), float(n)) / fact
 
@@ -213,11 +215,7 @@ def dr_exp_iid(n=1):
         r = special.gammaincinv(n, p)
         return np.power(r, float(n)) / fact
 
-    z_hi = float(cdf_inverse(np.array([1.0 - 1e-9]))[0])
-    name = spec.label()
-    f = DrPdf(fn=pdf, z_max=math.inf, inverse=pdf_inverse, probe_hi=z_hi, name=name)
-    F = DrCdf(fn=cdf, pdf=f, inverse=cdf_inverse, z_hi=z_hi, name=name)
-    return f, F
+    return _closed_form(spec, pdf, Measure(pdf_inverse, 1.0), cdf, cdf_inverse)
 
 
 def dr_exp_rate(theta=1.0):
@@ -230,7 +228,6 @@ def dr_exp_rate(theta=1.0):
         return theta * np.exp(-theta * z)
 
     def pdf_inverse(v):
-        v = np.asarray(v, dtype=np.float64)
         v = np.clip(v, 1e-300, None)
         return -np.log(v / theta) / theta
 
@@ -242,11 +239,7 @@ def dr_exp_rate(theta=1.0):
         p = np.asarray(p, dtype=np.float64)
         return -np.log1p(-np.clip(p, 0.0, 1.0 - 1e-300)) / theta
 
-    z_hi = float(cdf_inverse(np.array([1.0 - 1e-9]))[0])
-    name = spec.label()
-    f = DrPdf(fn=pdf, z_max=math.inf, inverse=pdf_inverse, probe_hi=z_hi, name=name)
-    F = DrCdf(fn=cdf, pdf=f, inverse=cdf_inverse, z_hi=z_hi, name=name)
-    return f, F
+    return _closed_form(spec, pdf, Measure(pdf_inverse, theta), cdf, cdf_inverse)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ generalised inverse of ``f~``, so rearrangement reduces to computing ``m`` on
 a threshold grid and swapping axes.
 
 This module provides the carriers (grids, tabulated monotone functions,
-densities, measure functions, DR pdfs and DR cdfs), the rearrangement and
-integration operations, and lossless JSON/CSV serialisation for tabulated
-functions.
+densities, sampled and exact measure functions, DR pdfs and DR cdfs), the
+rearrangement and integration operations, and lossless JSON/CSV
+serialisation for tabulated functions.
 """
 
 import csv
@@ -27,6 +27,7 @@ __all__ = [
     "TabulatedFn",
     "DensityFn",
     "MeasureFn",
+    "Measure",
     "DrPdf",
     "DrCdf",
     "measure_function",
@@ -291,6 +292,40 @@ class MeasureFn:
         return np.interp(y, self.thresholds[::-1], self.measures[::-1])
 
 
+@dataclass(frozen=True, eq=False)
+class Measure:
+    """Superlevel measure ``m(v) = |{f~ >= v}|`` of a DR pdf, as a function of the level v.
+
+    ``fn`` maps a float64 array of levels to measures, 0 above ``vmax``, the
+    pdf's maximum.  ``breaks`` are the levels where m has a kink (a mix
+    component enters) and ``jumps`` those where it jumps (a step pdf).
+    ``exact`` is False when ``fn`` interpolates a table's samples, whose
+    kinks are unlisted.
+    """
+
+    fn: object
+    vmax: float
+    breaks: np.ndarray = ()
+    jumps: np.ndarray = ()
+    exact: bool = True
+
+    def __post_init__(self):
+        for name in ("breaks", "jumps"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+
+    def __call__(self, v):
+        m = self.fn(np.asarray(v, dtype=np.float64))
+        return np.maximum(np.asarray(m, dtype=np.float64), 0.0)
+
+    def dilated(self, k):
+        """Measure of the dilated pdf ``f~(z / k) / k``: ``k m(k v)``."""
+
+        def fn(v):
+            return k * np.asarray(self.fn(k * v), dtype=np.float64)
+
+        return Measure(fn, self.vmax / k, self.breaks / k, self.jumps / k, self.exact)
+
+
 def _superlevel_measures(z, fz, thresholds):
     """Measures of ``{f >= y}`` for the piecewise-linear interpolant of samples.
 
@@ -445,9 +480,10 @@ class DrPdf:
     """Decreasing rearrangement of a density: a nonincreasing pdf on ``[0, z_max]``.
 
     Exactly one of ``table`` (a nonincreasing TabulatedFn) or ``fn`` (a closed
-    form evaluator) must be given.  Closed forms may carry an exact
-    ``inverse`` callable mapping a density value to the superlevel measure;
-    tabulated representations invert by interpolation.
+    form evaluator) must be given.  Either may carry its exact superlevel
+    ``measure`` (a :class:`Measure`): closed forms, and the mixes and
+    tropical products built from them; without one, the pdf inverts by
+    interpolating its table or a probe grid.
 
     Evaluation at negative ``z`` raises; beyond ``z_max`` the pdf is 0.
     """
@@ -457,7 +493,7 @@ class DrPdf:
         table=None,
         fn=None,
         z_max=None,
-        inverse=None,
+        measure=None,
         mass_tol=1e-6,
         probe_hi=None,
         name="",
@@ -465,7 +501,7 @@ class DrPdf:
         if (table is None) == (fn is None):
             raise ValueError("provide exactly one of table or fn")
         self.name = name
-        self.inverse = inverse
+        self.measure = measure
         if table is not None:
             if table.monotone != "nonincreasing":
                 table = TabulatedFn(table.grid, table.values, "nonincreasing")
@@ -493,8 +529,6 @@ class DrPdf:
             if probe_hi is None:
                 if math.isfinite(self.z_max):
                     probe_hi = self.z_max
-                elif inverse is not None:
-                    probe_hi = float(inverse(float(fn(np.array([0.0]))[0]) * 1e-12))
                 else:
                     raise ValueError("probe_hi required for closed forms on [0, inf)")
             self.probe_hi = float(probe_hi)
@@ -532,8 +566,8 @@ class DrPdf:
         map to the end of the table.
         """
         vv = np.atleast_1d(np.asarray(v, dtype=np.float64))
-        if self.inverse is not None:
-            out = np.maximum(np.asarray(self.inverse(vv), dtype=np.float64), 0.0)
+        if self.measure is not None:
+            out = self.measure(vv)
         elif self.table is not None:
             out = np.interp(vv, self.table.values[::-1], self.table.grid[::-1])
         else:

@@ -6,7 +6,7 @@ from scipy.special import lambertw
 
 from drmaj.algebra import direct_mix, inverse_mix
 from drmaj.families import dr_exp_iid, dr_exp_rate, dr_mvn
-from drmaj.rearrange import DrCdf, DrPdf
+from drmaj.rearrange import DrCdf, DrPdf, Measure
 
 
 # ---------------------------------------------------------------------------
@@ -86,9 +86,11 @@ def make_quintuple():
     _, F2 = dr_exp_iid(2)
     _, F3 = dr_exp_rate(0.5)
     z4 = float(f4_cdf_inverse(1.0 - 1e-9))
-    pdf4 = DrPdf(fn=f4_pdf, z_max=np.inf, inverse=f4_measure, probe_hi=z4, name="f4")
+    m4 = Measure(f4_measure, 0.5)
+    pdf4 = DrPdf(fn=f4_pdf, z_max=np.inf, measure=m4, probe_hi=z4, name="f4")
     F4 = DrCdf(fn=f4_cdf, pdf=pdf4, inverse=f4_cdf_inverse, z_hi=z4, name="F4")
-    pdf5 = DrPdf(fn=f5_pdf, z_max=np.inf, inverse=f5_measure, probe_hi=45.0, name="f5")
+    m5 = Measure(f5_measure, np.exp(-1.0))
+    pdf5 = DrPdf(fn=f5_pdf, z_max=np.inf, measure=m5, probe_hi=45.0, name="f5")
     F5 = DrCdf(fn=f5_cdf, pdf=pdf5, z_hi=45.0, name="F5")
     return F1, F2, F3, F4, F5
 

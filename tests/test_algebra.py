@@ -104,8 +104,8 @@ def test_rate_mix_kinks(rate_mix):
     inv, dire = rate_mix
     assert detect_kink(inv) == pytest.approx(LOG2, abs=1e-3)
     assert detect_kink(dire) == pytest.approx(0.5 * LOG2, abs=1e-3)
-    # candidate levels attached during mixing hit the same spots
-    assert np.min(np.abs(inv.kink_candidates - LOG2)) <= 1e-9
+    # the break level recorded during mixing is crossed at the same spot
+    assert np.min(np.abs(inv.measure_at(inv.measure.breaks) - LOG2)) <= 1e-9
 
 
 def test_rate_mix_moments_and_entropy(rate_mix):
@@ -217,6 +217,7 @@ def test_otimes_power_keeps_the_level_breaks():
     want = _level_breaks(mixed.pdf)
     assert len(want) == 1 and want[0] == pytest.approx(0.8473, abs=1e-4)
     assert _level_breaks(powered.pdf) == pytest.approx(want, abs=1e-12)
+    assert np.array_equal(powered.pdf.measure.breaks, mixed.pdf.measure.breaks / 2.2)
 
 
 @pytest.mark.parametrize("k", [np.inf, -np.inf, np.nan, 0.5])
@@ -239,8 +240,8 @@ def test_otimes_is_the_tabulated_half_inverse_mix():
     assert np.array_equal(prod.table.grid, again.grid)
     assert np.array_equal(prod.table.values, again.values)
     # the slower input's scaled maximum 1/4 is crossed at measure log 2
-    assert np.array_equal(prod.pdf.kink_candidates, [prod.pdf.measure_at(0.25)])
-    assert prod.pdf.kink_candidates[0] == pytest.approx(LOG2, abs=1e-12)
+    assert np.array_equal(prod.pdf.measure.breaks, [0.25])
+    assert prod.pdf.measure_at(0.25) == pytest.approx(LOG2, abs=1e-12)
 
 
 def test_otimes_of_crossing_meet_has_a_step_pdf():

@@ -155,11 +155,21 @@ def test_entropy_gamma_flag(capsys):
     assert payload["tsallis"]["value"] == pytest.approx(2.0 / 3.0, abs=1e-9)
 
 
-def test_entropy_rejects_non_concave_input(capsys):
-    # the join of a crossing pair is not a DR cdf, so no density exists
-    rc, _, err = run(capsys, "entropy", "join(mvn:n=1,exp:n=1)")
+@pytest.mark.parametrize(
+    "expr, cause",
+    [
+        # the join of a crossing pair is not a DR cdf, so no density exists
+        ("join(mvn:n=1,exp:n=1)", "cdf is not concave"),
+        # the crossing meet is concave, but carries no pdf
+        ("meet(mvn:n=1,exp:n=1)", "crossing lattice result has no pdf"),
+    ],
+    ids=["join", "meet"],
+)
+def test_entropy_rejects_non_concave_input(capsys, expr, cause):
+    rc, _, err = run(capsys, "entropy", expr)
     assert rc == 3
     assert "no usable density" in err
+    assert cause in err
 
 
 def test_entropy_missing_table_file(tmp_path, capsys):

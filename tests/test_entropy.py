@@ -22,7 +22,7 @@ from drmaj.entropy import (
 )
 from drmaj.families import dr_beta32, dr_exp_iid, dr_exp_rate, dr_mvn
 from drmaj.order import OrderVerdict, majorizes_discrete
-from drmaj.rearrange import DrPdf, TabulatedFn
+from drmaj.rearrange import DrPdf, Measure, TabulatedFn
 
 
 def test_entropy_kind_parsing():
@@ -138,7 +138,7 @@ def test_mix_with_convolution_operand(op, scale):
     # a table too; its functionals match the Lambert W reference to the
     # accuracy of that table.  dmix(a, b, 1/2) is mix(a, b, 1/2) scaled by 1/2.
     f = eval_expr(f"{op}(conv(exp:n=1, exp:n=1), exp:n=1)").pdf
-    assert f.inverse is None
+    assert f.measure is None
     m = _gamma_exp_mix_measure
     kw = dict(points=[0.5 / np.e], limit=200, epsrel=1e-12)
     h = quad(lambda u: m(u) * (-np.log(u) - 1.0), 0.0, 0.5, **kw)[0]
@@ -200,7 +200,8 @@ def test_undecayed_tail_is_rejected():
         v = np.clip(np.asarray(v, dtype=np.float64), 1e-300, 2.0 / np.pi)
         return np.sqrt(np.maximum(2.0 / (np.pi * v) - 1.0, 0.0))
 
-    f = DrPdf(fn=half_cauchy, z_max=np.inf, inverse=inv, probe_hi=1e6, mass_tol=None)
+    m = Measure(inv, 2.0 / np.pi)
+    f = DrPdf(fn=half_cauchy, z_max=np.inf, measure=m, probe_hi=1e6, mass_tol=None)
     with pytest.raises(ValueError, match="tail not decaying"):
         moments_dr(f)
     assert entropy_dr(f) == pytest.approx(np.log(2.0 * np.pi), abs=1e-8)
@@ -211,6 +212,44 @@ def test_undecayed_tail_is_rejected():
     )
     with pytest.raises(ValueError, match="tail has not decayed"):
         entropy_dr(tab)
+
+
+def _h_mvn2(var):
+    return np.log(2.0 * np.pi * np.e * var)
+
+
+def _h_mix(a, h1, h2):
+    # inverse mix with weight a on the second operand: weighted entropies
+    # plus the binary entropy of the weight
+    return (1.0 - a) * h1 + a * h2 - (1.0 - a) * np.log(1.0 - a) - a * np.log(a)
+
+
+@pytest.mark.parametrize(
+    "expr, want",
+    [
+        (
+            "mix(mvn:n=2,var=0.9904, mvn:n=2,var=3.886, alpha=0.6349)",
+            _h_mix(0.6349, _h_mvn2(0.9904), _h_mvn2(3.886)),
+        ),
+        (
+            "otimes(mvn:n=2,var=0.673, mvn:n=2,var=2.034)",
+            _h_mix(0.5, _h_mvn2(0.673), _h_mvn2(2.034)),
+        ),
+        (
+            "pow(mix(exp:n=1, exp:n=2, alpha=0.7039), 1.622)",
+            _h_mix(0.7039, 1.0, 2.0) + np.log(1.622),
+        ),
+        (
+            "mix(mix(mvn:n=2, mvn:n=2,var=3), exprate:theta=0.4, alpha=0.6)",
+            _h_mix(0.6, _h_mix(0.5, _h_mvn2(1.0), _h_mvn2(3.0)), 1.0 - np.log(0.4)),
+        ),
+    ],
+    ids=["mix", "otimes", "pow", "nested"],
+)
+def test_entropy_at_kinks_meets_closed_form(expr, want):
+    # the panel edges sit on the levels where a component's measure enters,
+    # the operands' own kinks included, so no kink is left inside a panel
+    assert entropy_dr(eval_expr(expr).pdf) == pytest.approx(want, abs=1e-10)
 
 
 def test_panel_budget_is_named():
