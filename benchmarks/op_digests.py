@@ -6,12 +6,14 @@
 For every workload in BENCHMARK.json and seeds 1-3, runs each op of the
 round once, in a fresh ``python3`` per checkout with one BLAS thread and that
 checkout's ``src/`` and ``perfbench/`` first on ``sys.path``.  One line per
-op: the workload, the seed, the op name, and either one ``key=digest`` per
-output key (``perfbench/run.py``'s ``_digest`` of that key alone, every bit
-of every array), so that a diff names the fields that moved, or the error it
-raised.  With two checkouts, prints the pairs of lines that differ
-(``-`` the first checkout's, ``+`` the second's) and a count on stderr, and
-exits 1 if any differ.  Uses only the standard library.
+op: the workload, the seed, the op name, and either one ``key=value`` per
+output key, or the error it raised.  A float, int or str value prints as its
+``repr``, which round-trips, so a differing line shows how far it moved; any
+other value (arrays, lists, tuples) prints as ``perfbench/run.py``'s
+``_digest`` of that key alone, every bit of every array.  Either way a diff
+names the fields that moved.  With two checkouts, prints the pairs of lines
+that differ (``-`` the first checkout's, ``+`` the second's) and a count on
+stderr, and exits 1 if any differ.  Uses only the standard library.
 """
 
 import argparse
@@ -33,8 +35,10 @@ for name in sys.argv[2].split(","):
         for op in workloads.WORKLOADS[name](seed).ops:
             try:
                 out = op.run()
-                result = " ".join(f"{k}={run._digest({k: out[k]})}"
-                                  for k in sorted(out) if not k.startswith("_"))
+                result = " ".join(
+                    f"{k}={out[k]!r}" if isinstance(out[k], (float, int, str))
+                    else f"{k}={run._digest({k: out[k]})}"
+                    for k in sorted(out) if not k.startswith("_"))
             except Exception as exc:
                 result = " ".join(f"error {type(exc).__name__}: {exc}".split())
             print(name, seed, op.name, result, flush=True)

@@ -30,6 +30,7 @@ from .rearrange import (
     DrPdf,
     Measure,
     TabulatedFn,
+    _layer_cake,
     _swap_axes_to_table,
     cdf_of_dr,
     dr_from_density_1d,
@@ -232,14 +233,8 @@ def _measure_of_cdf(F):
     table = F.table if F.table is not None else F.tabulated(8193)
     widths = np.diff(table.grid)
     slopes = np.diff(table.values) / widths
-    order = np.argsort(-slopes, kind="stable")
-    s_desc = slopes[order]
-    cum_w = np.concatenate([[0.0], np.cumsum(widths[order])])
-
-    def step(v):
-        return cum_w[np.searchsorted(-s_desc, -v, side="right")]
-
-    return Measure(step, s_desc[0], jumps=np.unique(s_desc))
+    step = _layer_cake(widths, slopes, slopes, 0)
+    return Measure(step, slopes.max(), jumps=np.unique(slopes))
 
 
 def otimes(F1, F2, n_grid=VALUE_GRID_POINTS):

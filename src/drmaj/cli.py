@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 import time
@@ -87,6 +88,9 @@ def cmd_family(args):
 
 
 def cmd_compare(args):
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0.0):
+        print(f"error: --tol must be finite and nonnegative, got {args.tol!r}", file=sys.stderr)
+        return EXIT_USAGE
     a = eval_expr(args.a)
     b = eval_expr(args.b)
     res = compare_cdfs(a.cdf, b.cdf, tol=args.tol)

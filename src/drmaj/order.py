@@ -14,7 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rearrange import DensityFn, DrCdf, DrPdf, Grid, cdf_of_dr, dr_from_density_1d
+from .rearrange import (
+    DensityFn,
+    DrCdf,
+    DrPdf,
+    Grid,
+    _layer_cake,
+    cdf_of_dr,
+    dr_from_density_1d,
+)
 
 __all__ = [
     "OrderVerdict",
@@ -193,38 +201,27 @@ def compare_cdfs(f1, f2, grid=None, tol=None):
         raise TypeError("compare_cdfs expects DrCdf arguments")
     if grid is None:
         grid = default_comparison_grid(f1, f2)
-    pts = grid.points if isinstance(grid, Grid) else np.asarray(grid, dtype=np.float64)
+    pts = (grid if isinstance(grid, Grid) else Grid(grid)).points
     if pts.size < 64:
         raise ValueError("comparison grid too coarse: need at least 64 points")
     if tol is None:
         tol = 1e-9 if (f1.table is None and f2.table is None) else 1e-3
+    elif not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     d = f2(pts) - f1(pts)
-    crossings = []
     sig = np.abs(d) > tol
-    for i in np.nonzero((d[:-1] * d[1:] < 0.0) & (sig[:-1] | sig[1:]))[0]:
-        # linear root of the bracketing segment
-        crossings.append(
-            float(pts[i] - d[i] * (pts[i + 1] - pts[i]) / (d[i + 1] - d[i]))
-        )
+    i = np.flatnonzero((d[:-1] * d[1:] < 0.0) & (sig[:-1] | sig[1:]))
+    # linear root of each bracketing segment
+    crossings = pts[i] - d[i] * (pts[i + 1] - pts[i]) / (d[i + 1] - d[i])
     return CdfComparison(
         verdict=_verdict_from_gaps(d, tol),
         max_gap=float(np.max(np.abs(d))),
-        crossing_z=tuple(crossings),
+        crossing_z=tuple(crossings.tolist()),
     )
 
 
 def _slice_integrals(pdf, c_levels):
-    """Integrals of (f - c)_+ over z, one per level c, in layer-cake form.
-
-    The pdf is reduced to piecewise-linear segments.  A segment whose lower
-    end is at least ``c`` adds its area less ``c`` times its width; one whose
-    ends straddle ``c`` adds the triangle above ``c``.  Segments ordered by
-    their lower end put the first kind in a prefix, so prefix sums of areas
-    and widths and one ``searchsorted`` give the first part for every level
-    at once (Lieb & Loss, *Analysis*, 1.13).  For a nonincreasing pdf the
-    order is the knot order, and a level straddles at most one segment;
-    ordering by the lower end keeps the sums exact when sampled values
-    wobble by rounding.
+    """Integrals of (f - c)_+ over z, one per level c, by ``_layer_cake``.
 
     Closed-form pdfs get sampling nodes adapted through the superlevel
     measure (geometric in value), so regions where the DR moves fast in
@@ -244,27 +241,9 @@ def _slice_integrals(pdf, c_levels):
     else:
         z = pdf.table.grid
         v = pdf.table.values
-    w = np.diff(z)
-    hi = np.maximum(v[:-1], v[1:])
     lo = np.minimum(v[:-1], v[1:])
-    # segments with lo >= c: a prefix of the segments sorted by falling lo
-    order = np.argsort(-lo, kind="stable")
-    cum_a = np.concatenate([[0.0], np.cumsum((0.5 * (v[:-1] + v[1:]) * w)[order])])
-    cum_w = np.concatenate([[0.0], np.cumsum(w[order])])
-    k = np.searchsorted(-lo[order], -c_levels, side="right")
-    out = cum_a[k] - c_levels * cum_w[k]
-    # segments with lo < c < hi: one (level, segment) pair per straddle
-    levels = np.argsort(c_levels, kind="stable")
-    c_sorted = c_levels[levels]
-    first = np.searchsorted(c_sorted, lo, side="right")
-    count = np.maximum(np.searchsorted(c_sorted, hi, side="left") - first, 0)
-    seg = np.repeat(np.arange(w.size), count)
-    pos = np.arange(seg.size) - np.repeat(np.cumsum(count) - count, count)
-    lev = levels[first[seg] + pos]
-    c = c_levels[lev]
-    frac = (hi[seg] - c) / (hi[seg] - lo[seg])
-    tri = 0.5 * (hi[seg] - c) * (w[seg] * frac)
-    return out + np.bincount(lev, weights=tri, minlength=c_levels.size)
+    hi = np.maximum(v[:-1], v[1:])
+    return _layer_cake(np.diff(z), lo, hi, 1)(c_levels)
 
 
 def slice_compare(f1, f2, c_grid=None, tol=None):

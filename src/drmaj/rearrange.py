@@ -326,58 +326,57 @@ class Measure:
         return Measure(fn, self.vmax / k, self.breaks / k, self.jumps / k, self.exact)
 
 
+def _layer_cake(w, lo, hi, power):
+    """Layer-cake sums over linear pieces, as a function of the level y.
+
+    Piece i has width ``w[i]`` and runs linearly between the values
+    ``lo[i] <= hi[i]``.  The returned function maps an array of levels y to
+    the sum over pieces of the part at or above y: for ``power`` 0 the
+    measure of ``{f >= y}``, for ``power`` 1 the integral of ``(f - y)_+``
+    (Lieb & Loss, *Analysis*, 1.13).  A piece with ``lo >= y`` counts in
+    full; sorted by rising ``lo`` such pieces form a suffix, so suffix sums
+    and one ``searchsorted`` give that part for every level at once.  A
+    piece with ``lo < y < hi`` adds its exact part, one (level, piece) pair
+    at a time, so no sum is a difference of large totals.  A flat piece is
+    never straddled: when every piece is flat (a step function), the levels
+    need no sorting.
+    """
+    order = np.argsort(lo, kind="stable")
+    w, lo, hi = w[order], lo[order], hi[order]
+    parts = [w] if power == 0 else [0.5 * (lo + hi) * w, w]
+    suffix = [np.append(np.cumsum(p[::-1])[::-1], 0.0) for p in parts]
+    steps = bool(np.all(lo == hi))
+
+    def at(y):
+        k = np.searchsorted(lo, y, side="left")  # pieces k, k+1, ... have lo >= y
+        out = suffix[0][k] if power == 0 else suffix[0][k] - y * suffix[1][k]
+        if steps:
+            return out
+        levels = np.argsort(y, kind="stable")
+        y_sorted = y[levels]
+        first = np.searchsorted(y_sorted, lo, side="right")
+        count = np.maximum(np.searchsorted(y_sorted, hi, side="left") - first, 0)
+        piece = np.repeat(np.arange(w.size), count)
+        lev = levels[np.arange(piece.size) + np.repeat(first - np.cumsum(count) + count, count)]
+        c = y[lev]
+        part = w[piece] * ((hi[piece] - c) / (hi[piece] - lo[piece]))
+        if power:
+            part = 0.5 * (hi[piece] - c) * part
+        return out + np.bincount(lev, weights=part, minlength=y.size)
+
+    return at
+
+
 def _superlevel_measures(z, fz, thresholds):
     """Measures of ``{f >= y}`` for the piecewise-linear interpolant of samples.
 
     ``z`` are strictly increasing sample abscissae, ``fz`` the sampled values
-    and ``thresholds`` an array of positive levels (any order).  Each sample
-    cell contributes ``w * clip((hi - y)/(hi - lo), 0, 1)``; the sum over cells
-    is evaluated for all thresholds at once with sorted prefix sums.
+    and ``thresholds`` a 1-d array of levels in any order; each sample cell
+    is one piece of :func:`_layer_cake`.
     """
-    w = np.diff(z)
     lo = np.minimum(fz[:-1], fz[1:])
     hi = np.maximum(fz[:-1], fz[1:])
-    y = np.asarray(thresholds, dtype=np.float64)
-
-    flat = hi - lo <= 0.0
-    out = np.zeros(y.shape, dtype=np.float64)
-
-    if np.any(flat):
-        fv = lo[flat]
-        fw = w[flat]
-        order = np.argsort(fv, kind="stable")
-        fv = fv[order]
-        suffix = np.concatenate([np.cumsum(fw[order][::-1])[::-1], [0.0]])
-        idx = np.searchsorted(fv, y, side="left")
-        out += suffix[idx]
-
-    if np.any(~flat):
-        nl = lo[~flat]
-        nh = hi[~flat]
-        nw = w[~flat]
-        delta = nh - nl
-        a = nw * nh / delta
-        b = nw / delta
-
-        order_lo = np.argsort(nl, kind="stable")
-        lo_sorted = nl[order_lo]
-        w_by_lo = np.concatenate([np.cumsum(nw[order_lo][::-1])[::-1], [0.0]])
-        a_by_lo = np.concatenate([np.cumsum(a[order_lo][::-1])[::-1], [0.0]])
-        b_by_lo = np.concatenate([np.cumsum(b[order_lo][::-1])[::-1], [0.0]])
-
-        order_hi = np.argsort(nh, kind="stable")
-        hi_sorted = nh[order_hi]
-        a_by_hi = np.concatenate([np.cumsum(a[order_hi][::-1])[::-1], [0.0]])
-        b_by_hi = np.concatenate([np.cumsum(b[order_hi][::-1])[::-1], [0.0]])
-
-        i_lo = np.searchsorted(lo_sorted, y, side="left")  # cells with lo >= y
-        i_hi = np.searchsorted(hi_sorted, y, side="right")  # cells with hi > y
-
-        full = w_by_lo[i_lo]
-        ramp = (a_by_hi[i_hi] - y * b_by_hi[i_hi]) - (a_by_lo[i_lo] - y * b_by_lo[i_lo])
-        out += full + np.maximum(ramp, 0.0)
-
-    return out
+    return _layer_cake(np.diff(z), lo, hi, 0)(np.asarray(thresholds, dtype=np.float64))
 
 
 def measure_function(f, thresholds, n_samples=32769):

@@ -78,6 +78,15 @@ def test_compare_crossing_pair(capsys):
     assert payload["max_gap"] == pytest.approx(0.2496548916, abs=1e-6)
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_compare_rejects_bad_tolerance(capsys, tol):
+    # exp:n=2 precedes exp:n=1; no tolerance may turn that into another verdict
+    rc, out, err = run(capsys, "compare", "exp:n=2", "exp:n=1", "--tol", tol)
+    assert rc == 2
+    assert err.startswith("error: --tol")
+    assert out == ""
+
+
 def test_compare_equal_pair(capsys):
     payload = run_json(capsys, "compare", "exp:n=1", "exp:n=1")
     assert payload["verdict"] == "equal"

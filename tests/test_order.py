@@ -254,6 +254,28 @@ def test_slice_integrals_match_loop(steps, widths, levels):
     assert np.max(np.abs(_slice_integrals(pdf, c) - _loop_slice_integrals(z, v, c))) <= 1e-12
 
 
+@pytest.mark.parametrize("bad, cause", [("shuffled", "strictly increasing"), ("nan", "finite")])
+def test_compare_cdfs_rejects_bad_grids(bad, cause):
+    _, Fm = dr_mvn(1)
+    _, Fe = dr_exp_iid(1)
+    pts = default_comparison_grid(Fm, Fe).points
+    assert compare_cdfs(Fm, Fe, grid=pts).crossing_z == pytest.approx((6.1302,), abs=1e-4)
+    if bad == "shuffled":
+        grid = np.random.default_rng(0).permutation(pts)
+    else:
+        grid = np.full(pts.size, np.nan)
+    with pytest.raises(ValueError, match=cause):
+        compare_cdfs(Fm, Fe, grid=grid)
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+def test_compare_cdfs_rejects_bad_tolerances(tol):
+    _, F1 = dr_exp_iid(1)
+    _, F2 = dr_exp_iid(2)
+    with pytest.raises(ValueError, match="tol"):
+        compare_cdfs(F2, F1, tol=tol)
+
+
 def test_compare_cdfs_reports_crossings():
     _, Fm = dr_mvn(1)
     _, Fe = dr_exp_iid(1)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from drmaj.algebra import inverse_mix
 from drmaj.families import dr_beta32, dr_exp_iid
+from drmaj.order import compare_cdfs
 from drmaj.rearrange import (
     KNOT_GAP,
     DensityFn,
@@ -22,6 +24,7 @@ from drmaj.rearrange import (
     load_tabulated,
     measure_function,
     pdf_of_cdf,
+    _layer_cake,
     _swap_axes_to_table,
     _thin_knots,
 )
@@ -425,3 +428,69 @@ def test_pdf_of_cdf_matches_loop(steps, scale):
         return
     assert np.array_equal(f.table.grid, zs)
     assert np.array_equal(f.table.values, vs)
+
+
+def _loop_superlevel_measures(w, lo, hi, levels):
+    """Reference: the measure of {f >= y}, one level at a time."""
+    out = np.empty(levels.size)
+    for i, y in enumerate(levels):
+        full = lo >= y
+        cut = (lo < y) & (y < hi)
+        out[i] = np.sum(w[full]) + np.sum(w[cut] * (hi[cut] - y) / (hi[cut] - lo[cut]))
+    return out
+
+
+#: sample values: few distinct, so neighbours repeat (flat pieces)
+_SAMPLES = st.lists(st.integers(min_value=0, max_value=20), min_size=2, max_size=60)
+#: levels: sample values (the >= convention) or anything between and beyond
+_LEVELS = st.lists(
+    st.one_of(st.integers(min_value=0, max_value=20).map(lambda k: 0.1 * k),
+              st.floats(min_value=1e-3, max_value=2.5)),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SAMPLES, st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=60, max_size=60),
+       _LEVELS)
+def test_layer_cake_matches_loop(samples, widths, levels):
+    # non-monotone samples: pieces rise and fall, and levels come in any order
+    v = 0.1 * np.asarray(samples, dtype=np.float64)
+    w = np.asarray(widths[: v.size - 1])
+    lo, hi = np.minimum(v[:-1], v[1:]), np.maximum(v[:-1], v[1:])
+    y = np.asarray(levels)
+    got = _layer_cake(w, lo, hi, 0)(y)
+    assert np.max(np.abs(got - _loop_superlevel_measures(w, lo, hi, y))) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(_SAMPLES, st.lists(st.integers(min_value=1, max_value=64), min_size=60, max_size=60),
+       _LEVELS)
+def test_layer_cake_of_steps_is_exact(samples, eighths, levels):
+    # every piece flat, as for a cdf's slopes; widths in eighths sum exactly
+    v = 0.1 * np.asarray(samples, dtype=np.float64)
+    w = np.asarray(eighths[: v.size], dtype=np.float64) / 8.0
+    y = np.asarray(levels)
+    assert np.array_equal(_layer_cake(w, v, v, 0)(y), _loop_superlevel_measures(w, v, v, y))
+
+
+def _beta_pdf(a, b):
+    c = 1.0 / special.beta(a, b)
+
+    def pdf(x):
+        x = np.clip(np.asarray(x, dtype=np.float64), 0.0, 1.0)
+        return c * x ** (a - 1.0) * (1.0 - x) ** (b - 1.0)
+
+    return pdf
+
+
+@pytest.mark.parametrize("a, b", [(1.5, 4.5), (2.7, 4.1), (3.3, 1.9), (4.8, 2.2)])
+def test_mirrored_betas_rearrange_alike(a, b):
+    # Beta(a, b) and Beta(b, a) are mirror images, so their DRs are the same;
+    # the sampled superlevel measures must not lose that to cancellation
+    F = [
+        cdf_of_dr(dr_from_density_1d(DensityFn.from_univariate(_beta_pdf(p, q), 0.0, 1.0)))
+        for p, q in ((a, b), (b, a))
+    ]
+    assert compare_cdfs(*F).max_gap <= 1e-14
