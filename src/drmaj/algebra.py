@@ -198,6 +198,8 @@ def inverse_mix_discrete(p, q, w=0.5):
     pv = np.asarray(p, dtype=np.float64).ravel()
     qv = np.asarray(q, dtype=np.float64).ravel()
     pooled = np.concatenate([(1.0 - a) * pv, a * qv])
+    if not np.all(np.isfinite(pooled)):
+        raise ValueError("probabilities must be finite")
     if np.any(pooled < 0.0):
         raise ValueError("probabilities must be nonnegative")
     if abs(float(pv.sum()) - 1.0) > 1e-9 or abs(float(qv.sum()) - 1.0) > 1e-9:
@@ -213,6 +215,8 @@ def direct_mix_discrete(p, q, w=0.5):
     n = max(pv.size, qv.size)
     pv = np.pad(pv, (0, n - pv.size))
     qv = np.pad(qv, (0, n - qv.size))
+    if not (np.all(np.isfinite(pv)) and np.all(np.isfinite(qv))):
+        raise ValueError("probabilities must be finite")
     if np.any(pv < 0.0) or np.any(qv < 0.0):
         raise ValueError("probabilities must be nonnegative")
     if abs(float(pv.sum()) - 1.0) > 1e-9 or abs(float(qv.sum()) - 1.0) > 1e-9:

@@ -398,6 +398,8 @@ def measure_function(f, thresholds, n_samples=32769):
     if not isinstance(f, DensityFn):
         raise TypeError("measure_function expects a DensityFn")
     pts = thresholds.points if isinstance(thresholds, Grid) else _asarray1d(thresholds)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("thresholds must be finite")
     z = np.linspace(f.lo, f.hi, int(n_samples))
     fz = f.eval(z)
     maxf = float(fz.max())
@@ -680,7 +682,14 @@ class DrCdf:
         return out if np.asarray(p).ndim else float(out[0])
 
     def effective_support(self, eps=1e-8):
-        """z at which the cdf first reaches ``1 - eps``."""
+        """z at which the cdf first reaches ``1 - eps``.
+
+        Read from the exact inverse when the cdf has one and ``0 < eps < 1``;
+        at ``eps = 0`` that inverse is infinite, so the doubling search and
+        bisection below find the first z whose value rounds to 1.
+        """
+        if self.inverse is not None and 0.0 < eps < 1.0:
+            return self.quantile_at(1.0 - eps)
         if self.table is not None:
             vals = self.table.values
             idx = int(np.searchsorted(vals, 1.0 - eps, side="left"))

@@ -1,5 +1,7 @@
 """Analytic family closures: closed forms, parsing, ordering along parameters."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -16,6 +18,7 @@ from drmaj.families import (
     dr_validate_radial,
 )
 from drmaj.order import OrderVerdict, majorizes_cdf
+from drmaj.rearrange import DrCdf
 
 
 def test_ball_volumes():
@@ -168,3 +171,19 @@ def test_suggested_truncation_captures_mass():
         lo, hi = suggested_truncation(spec)
         assert lo == 0.0
         assert float(F(hi)) >= 1.0 - 2e-8
+
+
+@pytest.mark.parametrize(
+    "spec_text",
+    ["mvn:n=1", "mvn:n=2", "mvn:n=3,var=0.5", "exp:n=1", "exp:n=4", "exprate:theta=2"],
+)
+def test_effective_support_reads_the_exact_inverse(spec_text):
+    spec = parse_family(spec_text)
+    _, F = dr_family(spec)
+    searched = DrCdf(fn=F.fn, z_hi=F.z_hi)  # no inverse: doubling search and bisection
+    exact = F.effective_support(1e-8)
+    assert exact == pytest.approx(searched.effective_support(1e-8), rel=1e-8)
+    assert float(F(exact)) == pytest.approx(1.0 - 1e-8, abs=1e-14)
+    # at eps = 0 the inverse is infinite; the search still ends at a finite z
+    assert math.isfinite(F.effective_support(0.0))
+    assert math.isfinite(suggested_truncation(spec, 1.0)[1])

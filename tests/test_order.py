@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import continuous_comparable_pair, discrete_comparable_pair
+from drmaj.algebra import direct_mix_discrete, inverse_mix_discrete
 from drmaj.entropy import entropy_discrete
 from drmaj.families import dr_exp_iid, dr_mvn
 from drmaj.order import (
@@ -172,6 +173,95 @@ def test_dilation_witness_matches_dense_construction(side):
     assert w.n_factors == n_factors
     np.testing.assert_allclose(w.matrix, ref, rtol=0, atol=1e-13)
     assert np.max(np.abs(p - w.matrix @ q)) <= 1e-10
+
+
+def _loop_witness(p, q, tol=1e-13):
+    # reference: the sweep over all n gaps per T-transform, two rows mixed by
+    # fancy indexing; same (j, k, lam) rule and arithmetic as the library
+    n = p.size
+    perm_p = np.argsort(-p, kind="stable")
+    perm_q = np.argsort(-q, kind="stable")
+    x = p[perm_p]
+    y = q[perm_q].copy()
+    m = np.eye(n)
+    n_factors = 0
+    for _ in range(n):
+        gaps = y - x
+        if np.max(np.abs(gaps)) <= tol:
+            break
+        surplus = np.nonzero(gaps > tol)[0]
+        deficit = np.nonzero(gaps < -tol)[0]
+        j = int(surplus[-1])
+        k = int(deficit[deficit > j][0])
+        delta = min(y[j] - x[j], x[k] - y[k])
+        lam = 1.0 - delta / (y[j] - y[k])
+        rows = [j, k]
+        y[rows] = lam * y[rows] + (1.0 - lam) * y[rows[::-1]]
+        m[rows] = lam * m[rows] + (1.0 - lam) * m[rows[::-1]]
+        n_factors += 1
+    full = np.empty((n, n))
+    full[perm_p[:, None], perm_q] = m
+    return full, n_factors
+
+
+@pytest.mark.parametrize("side", [14, 20])
+def test_dilation_witness_matches_loop_on_blur_pairs(side):
+    rng = np.random.default_rng(100 + side)
+    table = rng.gamma(0.5, size=(side, side))
+    table /= table.sum()
+    blur = 0.6 * table + 0.1 * sum(np.roll(table, s, axis=a) for s in (1, -1) for a in (0, 1))
+    q, p = table.ravel(), blur.ravel()
+    w = dilation_witness(p, q)
+    ref, n_factors = _loop_witness(p, q)
+    assert w.n_factors == n_factors > 0
+    assert np.array_equal(w.matrix, ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=st.lists(st.integers(0, 4), min_size=1, max_size=9).filter(any),
+    mix=st.lists(st.integers(0, 3), min_size=1, max_size=3).filter(any),
+    data=st.data(),
+)
+def test_dilation_witness_matches_loop_on_ties_and_zeros(weights, mix, data):
+    # p = sum_i c_i q[perm_i]: doubly stochastic image of q; small integer
+    # weights give ties, zeros, p == q and permutations of q
+    q = np.asarray(weights, dtype=np.float64) / sum(weights)
+    perms = [data.draw(st.permutations(range(q.size))) for _ in mix]
+    p = sum(c * q[list(perm)] for c, perm in zip(mix, perms)) / sum(mix)
+    w = dilation_witness(p, q)
+    ref, n_factors = _loop_witness(ProbVector(p).values, ProbVector(q).values)
+    assert w.n_factors == n_factors <= q.size - 1
+    assert np.array_equal(w.matrix, ref)
+    assert np.max(np.abs(p - w.matrix @ q)) <= 1e-12
+
+
+@pytest.mark.parametrize("q", [[1.0], [0.5, 0.5], [1.0, 0.0], [0.25, 0.0, 0.75]])
+def test_dilation_witness_of_a_vector_with_itself_is_the_identity(q):
+    w = dilation_witness(q, q)
+    assert w.n_factors == 0
+    assert np.array_equal(w.matrix, np.eye(len(q)))
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (ProbVector, ([NAN, 0.5, 0.5],)),
+        (ProbMatrix, ([[NAN, 0.5], [0.5, 0.0]],)),
+        (majorizes_discrete, ([0.5, 0.5, NAN], [1.0, 0.0, 0.0])),
+        (DoublyStochastic, (np.array([[NAN, 1.0], [1.0, 0.0]]),)),
+        (inverse_mix_discrete, ([NAN, 0.5, 0.5], [1.0, 0.0, 0.0])),
+        (direct_mix_discrete, ([0.5, 0.5, 0.0], [1.0, NAN, 0.0])),
+    ],
+    ids=["ProbVector", "ProbMatrix", "majorizes_discrete", "DoublyStochastic",
+         "inverse_mix_discrete", "direct_mix_discrete"],
+)
+def test_non_finite_probabilities_are_rejected(call, args):
+    with pytest.raises(ValueError, match="finite"):
+        call(*args)
 
 
 def test_dilation_witness_requires_order():

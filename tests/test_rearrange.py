@@ -247,6 +247,11 @@ def test_measure_function_of_truncated_exponential():
     assert np.max(np.abs(m(v) - (-np.log(v)))) <= 1e-3
 
 
+def test_measure_function_rejects_non_finite_thresholds():
+    with pytest.raises(ValueError, match="thresholds must be finite"):
+        measure_function(triangle_density(), [0.5, np.nan])
+
+
 def test_pdf_of_cdf_recovers_slopes():
     from drmaj.families import dr_exp_iid
 
