@@ -103,7 +103,7 @@ def _pdf_from_measure(measure, n_grid=VALUE_GRID_POINTS):
     Bracketing each of the measure's ``jumps`` in the value grid keeps the
     flat pdf stretches, and hence the mass, exact.  The result carries the
     measure only when it is exact; one that interpolates an operand's pdf
-    samples leaves the result with only its own table, like that operand.
+    samples is dropped, and the result interpolates its own table instead.
     """
     vmax = measure.vmax
     if not math.isfinite(vmax) or vmax <= 0.0:
@@ -119,11 +119,6 @@ def _pdf_from_measure(measure, n_grid=VALUE_GRID_POINTS):
         raise ValueError("measure function produced non-finite values")
     table = _swap_axes_to_table(measures, thresholds, vmax)
     return DrPdf(table=table, measure=measure if measure.exact else None, mass_tol=1e-5)
-
-
-def _measure_of_pdf(f):
-    """The pdf's exact measure, or one interpolating its samples."""
-    return f.measure or Measure(f.measure_at, f.max_value, exact=False)
 
 
 def _measure_sum(measures, scales, coefs):
@@ -170,7 +165,7 @@ def inverse_mix_many(pdfs, weights):
         raise ValueError("one weight per pdf required")
     if not np.all(wts > 0.0) or abs(float(wts.sum()) - 1.0) > 1e-9:  # NaN fails "> 0"
         raise ValueError("weights must be positive and sum to 1")
-    measures = [_measure_of_pdf(f) for f in pdfs]
+    measures = [f.measure for f in pdfs]
     return _pdf_from_measure(_measure_sum(measures, wts, np.ones_like(wts)))
 
 
@@ -185,7 +180,7 @@ def direct_mix(f1, f2, w=0.5):
     _require_pdf(f1, "direct_mix")
     _require_pdf(f2, "direct_mix")
     a = MixWeight.coerce(w).alpha
-    measures = [_measure_of_pdf(f1), _measure_of_pdf(f2)]
+    measures = [f1.measure, f2.measure]
     return _pdf_from_measure(_measure_sum(measures, (1.0, 1.0), (1.0 - a, a)))
 
 
@@ -233,7 +228,7 @@ def _measure_of_cdf(F):
     is a step function, exact, with a jump at each distinct slope.
     """
     if F.pdf is not None:
-        return _measure_of_pdf(F.pdf)
+        return F.pdf.measure
     table = F.table if F.table is not None else F.tabulated(8193)
     widths = np.diff(table.grid)
     slopes = np.diff(table.values) / widths
@@ -270,24 +265,23 @@ def otimes_power(F, k):
     scaled_pdf = None
     if F.pdf is not None:
         p = F.pdf
-        measure = None if p.measure is None else p.measure.dilated(k)
+        # an inexact measure is left for the scaled pdf to interpolate anew
+        measure = p.measure.dilated(k) if p.measure.exact else None
         if p.table is not None:
             table = TabulatedFn(p.table.grid * k, p.table.values / k, "nonincreasing")
-            scaled_pdf = DrPdf(table=table, measure=measure, mass_tol=1e-4, name=p.name)
+            scaled_pdf = DrPdf(table=table, measure=measure, mass_tol=1e-4)
         else:
             scaled_pdf = DrPdf(
                 fn=lambda z: np.asarray(p(np.asarray(z, dtype=np.float64) / k)) / k,
                 z_max=p.z_max * k if math.isfinite(p.z_max) else math.inf,
                 measure=measure,
-                probe_hi=p.probe_hi * k,
-                name=p.name,
+                z_hi=p.z_hi * k,
             )
     if F.table is not None:
         return DrCdf(
             table=TabulatedFn(F.table.grid * k, F.table.values, "nondecreasing"),
             pdf=scaled_pdf,
             require_concave=F.concave,
-            name=F.name,
         )
     return DrCdf(
         fn=lambda z: F(np.asarray(z, dtype=np.float64) / k),
@@ -295,7 +289,6 @@ def otimes_power(F, k):
         inverse=None if F.inverse is None else (lambda pr: k * np.asarray(F.inverse(np.asarray(pr)), dtype=np.float64)),
         z_hi=F.z_hi * k,
         z_max=F.z_max * k if math.isfinite(F.z_max) else math.inf,
-        name=F.name,
     )
 
 
@@ -336,10 +329,9 @@ def meet(F1, F2):
 
 def _mass_quantile(pdf, frac):
     """z below which the pdf holds ``frac`` of its mass, by dense trapezoids."""
-    hi = pdf.z_max if math.isfinite(pdf.z_max) else pdf.support_hi()
-    z = np.linspace(0.0, hi, 8193)
+    z = np.linspace(0.0, pdf.z_hi, 8193)
     cum = cumulative_trapezoid(pdf(z), z, initial=0)
-    return float(np.interp(frac * cum[-1], cum, z)), hi
+    return float(np.interp(frac * cum[-1], cum, z))
 
 
 def convolve_dr(f1, f2):
@@ -351,11 +343,9 @@ def convolve_dr(f1, f2):
     """
     _require_pdf(f1, "convolve_dr")
     _require_pdf(f2, "convolve_dr")
-    q1, hi1 = _mass_quantile(f1, 1.0 - 1e-6)
-    q2, hi2 = _mass_quantile(f2, 1.0 - 1e-6)
-    h = min(q1, q2) / 512.0
-    n1 = int(math.ceil(hi1 / h)) + 1
-    n2 = int(math.ceil(hi2 / h)) + 1
+    h = min(_mass_quantile(f1, 1.0 - 1e-6), _mass_quantile(f2, 1.0 - 1e-6)) / 512.0
+    n1 = int(math.ceil(f1.z_hi / h)) + 1
+    n2 = int(math.ceil(f2.z_hi / h)) + 1
     a = f1(np.arange(n1) * h)
     b = f2(np.arange(n2) * h)
     conv = np.convolve(a, b)

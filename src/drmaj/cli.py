@@ -144,46 +144,42 @@ def _parse_bounds(text, dim):
     return np.asarray(vals, dtype=np.float64).reshape(dim, 2)
 
 
-def _discrete_outputs(counts, args, manifest_extra):
+def _write_manifest(args, t0, fields):
+    """Write ``manifest.json``: the command, version, ``fields`` and wall clock since t0."""
+    manifest = {
+        "command": " ".join(map(str, sys.argv[1:] or ["empirical", args.data])),
+        "version": __version__,
+        "wall_clock_s": round(time.time() - t0, 3),
+        **fields,
+    }
+    path = f"{args.out}/manifest.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+    return path
+
+
+def _discrete_outputs(counts, args, t0):
     pmf, step = discrete_empirical_dr(counts)
     k = np.arange(1, pmf.values.size + 1, dtype=np.float64)
-    paths = [
-        _write_columns(
-            f"{args.out}/discrete_pmf.csv", ["rank", "probability"], (k, pmf.values)
-        ),
-        _write_columns(
-            f"{args.out}/discrete_cdf.csv",
-            ["count", "cumulative"],
-            (k, step(k)),
+    total = int(round(float(np.asarray(counts).sum())))
+    return [
+        _write_columns(f"{args.out}/discrete_pmf.csv", ["rank", "probability"], (k, pmf.values)),
+        _write_columns(f"{args.out}/discrete_cdf.csv", ["count", "cumulative"], (k, step(k))),
+        _write_manifest(
+            args, t0, {"mode": "discrete", "cells": int(pmf.values.size), "total_count": total}
         ),
     ]
-    manifest = {
-        "command": manifest_extra["command"],
-        "version": __version__,
-        "mode": "discrete",
-        "cells": int(pmf.values.size),
-        "total_count": int(round(float(np.asarray(counts).sum()))),
-        "wall_clock_s": manifest_extra["wall_clock_s"](),
-    }
-    with open(f"{args.out}/manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-    paths.append(f"{args.out}/manifest.json")
-    return paths
 
 
 def cmd_empirical(args):
     t0 = time.time()
-    manifest_extra = {
-        "command": " ".join(map(str, sys.argv[1:] or ["empirical", args.data])),
-        "wall_clock_s": lambda: round(time.time() - t0, 3),
-    }
     if args.discrete:
         try:
             counts = np.loadtxt(args.data, delimiter=",", ndmin=2)
         except (OSError, ValueError) as exc:
             print(f"error: cannot read counts table: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        for p in _discrete_outputs(counts, args, manifest_extra):
+        for p in _discrete_outputs(counts, args, t0):
             print(p)
         return EXIT_OK
 
@@ -200,7 +196,7 @@ def cmd_empirical(args):
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        paths = _discrete_outputs(counts, args, manifest_extra)
+        paths = _discrete_outputs(counts, args, t0)
         paths.insert(
             0,
             _write_columns(
@@ -240,18 +236,10 @@ def cmd_empirical(args):
         ),
         _write_table(dr.table, args.out, "dr_pdf", args.json),
         _write_table(cdf.table, args.out, "dr_cdf", args.json),
+        _write_manifest(
+            args, t0, {"mode": "kde_mc", "config": run_manifest(kde, cfg), "binned_mass": cdf.mass}
+        ),
     ]
-    manifest = {
-        "command": manifest_extra["command"],
-        "version": __version__,
-        "mode": "kde_mc",
-        "config": run_manifest(kde, cfg),
-        "binned_mass": cdf.mass,
-        "wall_clock_s": manifest_extra["wall_clock_s"](),
-    }
-    with open(f"{args.out}/manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-    paths.append(f"{args.out}/manifest.json")
     for p in paths:
         print(p)
     return EXIT_OK

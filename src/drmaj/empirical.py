@@ -246,7 +246,7 @@ def empirical_dr(kde: KdeModel, cfg: McConfig) -> tuple[MeasureFn, DrPdf]:
     measures = above * (volume / dens.size)
     measure = MeasureFn(thresholds=thresholds, measures=measures)
     table = _swap_axes_to_table(measures, thresholds, fmax)
-    dr = DrPdf(table=table, mass_tol=None, name="empirical")
+    dr = DrPdf(table=table, mass_tol=None)
     share = measures / volume
     dr.mc_standard_error = float(
         np.max(np.sqrt(np.clip(share * (1 - share), 0, None) / dens.size)) * volume
@@ -280,14 +280,10 @@ def empirical_dr_cdf(dr: DrPdf, z_star, renormalise_pdf=False) -> DrCdf:
     pdf = dr
     if renormalise_pdf:
         if dr.table is not None:
-            pdf = DrPdf(
-                table=TabulatedFn(dr.table.grid, dr.table.values / total),
-                mass_tol=None,
-                name=dr.name,
-            )
+            pdf = DrPdf(table=TabulatedFn(dr.table.grid, dr.table.values / total), mass_tol=None)
         else:
             pdf = None  # a scaled closure would not match its exact measure
-    out = DrCdf(table=TabulatedFn(z, fvals), pdf=pdf, name=dr.name)
+    out = DrCdf(table=TabulatedFn(z, fvals), pdf=pdf)
     out.mass = total
     return out
 
@@ -319,7 +315,7 @@ def discrete_empirical_dr(counts) -> tuple[ProbVector, DrCdf]:
         idx = np.clip(np.floor(np.asarray(z, dtype=np.float64)), 0, k).astype(int)
         return partial[idx]
 
-    return pv, DrCdf(fn=step, z_hi=float(k), require_concave=False, name="discrete")
+    return pv, DrCdf(fn=step, z_hi=float(k), require_concave=False)
 
 
 def bin_2d(data: Dataset, bins_x: int, bins_y: int):

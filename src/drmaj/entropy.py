@@ -228,7 +228,7 @@ def _pdf_samples(f):
     """Knots for z-side integration of a DR without an exact measure."""
     if f.table is not None:
         return f.table.grid, f.table.values
-    hi = float(f.support_hi())
+    hi = f.z_hi
     z = np.unique(
         np.concatenate([np.linspace(0.0, hi, 4097), np.geomspace(hi * 1e-9, hi, 513)])
     )
@@ -245,7 +245,7 @@ def _check_tail(values, what):
 
 def entropy_dr(f: DrPdf, kind=SHANNON) -> float:
     """Differential entropy ``int h(f~(z)) dz`` of a DR pdf."""
-    if f.measure is not None:
+    if f.measure.exact:
         (h,) = _level_quad(
             f, lambda u: (f.measure_at(u) * _gauge_slope(u, kind))[:, None], "entropy"
         )
@@ -257,7 +257,7 @@ def entropy_dr(f: DrPdf, kind=SHANNON) -> float:
 
 def moments_dr(f: DrPdf) -> tuple[float, float]:
     """Mean and variance of the rearranged variable z under the DR density."""
-    if f.measure is not None:
+    if f.measure.exact:
 
         def halves_and_thirds(u):
             m = f.measure_at(u)

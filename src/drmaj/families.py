@@ -135,12 +135,11 @@ def parse_family(text):
         raise ValueError(f"invalid family spec {text!r}: {exc}") from None
 
 
-def _closed_form(spec, pdf, measure, cdf, cdf_inverse):
+def _closed_form(pdf, measure, cdf, cdf_inverse):
     """DR pdf and cdf of a closed form on [0, inf), probed to its 1 - 1e-9 quantile."""
     z_hi = float(cdf_inverse(np.array([1.0 - 1e-9]))[0])
-    name = spec.label()
-    f = DrPdf(fn=pdf, z_max=math.inf, measure=measure, probe_hi=z_hi, name=name)
-    return f, DrCdf(fn=cdf, pdf=f, inverse=cdf_inverse, z_hi=z_hi, name=name)
+    f = DrPdf(fn=pdf, z_max=math.inf, measure=measure, z_hi=z_hi)
+    return f, DrCdf(fn=cdf, pdf=f, inverse=cdf_inverse, z_hi=z_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +179,7 @@ def dr_mvn(n=1, var=1.0):
         r2 = 2.0 * var * special.gammaincinv(n / 2.0, p)
         return vn * np.power(r2, n / 2.0)
 
-    return _closed_form(spec, pdf, Measure(pdf_inverse, amp), cdf, cdf_inverse)
+    return _closed_form(pdf, Measure(pdf_inverse, amp), cdf, cdf_inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +214,7 @@ def dr_exp_iid(n=1):
         r = special.gammaincinv(n, p)
         return np.power(r, float(n)) / fact
 
-    return _closed_form(spec, pdf, Measure(pdf_inverse, 1.0), cdf, cdf_inverse)
+    return _closed_form(pdf, Measure(pdf_inverse, 1.0), cdf, cdf_inverse)
 
 
 def dr_exp_rate(theta=1.0):
@@ -239,7 +238,7 @@ def dr_exp_rate(theta=1.0):
         p = np.asarray(p, dtype=np.float64)
         return -np.log1p(-np.clip(p, 0.0, 1.0 - 1e-300)) / theta
 
-    return _closed_form(spec, pdf, Measure(pdf_inverse, theta), cdf, cdf_inverse)
+    return _closed_form(pdf, Measure(pdf_inverse, theta), cdf, cdf_inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +277,8 @@ def dr_beta32():
         cubic = np.maximum(4.0 - 3.0 * zc * zc, 0.0) ** 3
         return np.where(z >= 1.0, 1.0, (zc / 9.0) * (np.sqrt(cubic) + 8.0))
 
-    f = DrPdf(fn=pdf, z_max=1.0, name="beta32")
-    F = DrCdf(fn=cdf, pdf=f, z_hi=1.0, z_max=1.0, name="beta32")
+    f = DrPdf(fn=pdf, z_max=1.0)
+    F = DrCdf(fn=cdf, pdf=f, z_hi=1.0, z_max=1.0)
     return f, F
 
 

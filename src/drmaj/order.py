@@ -46,6 +46,12 @@ __all__ = [
 #: normalisation tolerance for probability vectors
 PROB_TOL = 1e-12
 
+#: gap ``y - x`` beyond which the dilation witness still transforms a coordinate
+WITNESS_TOL = 1e-13
+
+#: slack of the Schur-concavity check: ``H(p) >= H(q) - SCHUR_SLACK``
+SCHUR_SLACK = 1e-12
+
 
 class OrderVerdict(enum.Enum):
     """Four-way outcome of a majorisation comparison of (first, second)."""
@@ -128,6 +134,11 @@ def _coerce_vec(p):
     return p if isinstance(p, ProbVector) else ProbVector(p)
 
 
+def _check_tol(tol):
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+
+
 def _verdict_from_gaps(d, tol):
     if np.max(np.abs(d)) <= tol:
         return OrderVerdict.EQUAL
@@ -146,6 +157,7 @@ def majorizes_discrete(p, q, tol=1e-12):
     ``p`` is at most the matching one of ``q``), SUCCEEDS for the reverse,
     EQUAL when the sorted vectors coincide within ``tol``.
     """
+    _check_tol(tol)
     pv = _coerce_vec(p).sorted_desc()
     qv = _coerce_vec(q).sorted_desc()
     n = max(pv.size, qv.size)
@@ -213,8 +225,7 @@ def compare_cdfs(f1, f2, grid=None, tol=None):
         raise ValueError("comparison grid too coarse: need at least 64 points")
     if tol is None:
         tol = 1e-9 if (f1.table is None and f2.table is None) else 1e-3
-    elif not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+    _check_tol(tol)
     d = f2(pts) - f1(pts)
     sig = np.abs(d) > tol
     i = np.flatnonzero((d[:-1] * d[1:] < 0.0) & (sig[:-1] | sig[1:]))
@@ -237,7 +248,7 @@ def _slice_integrals(pdf, c_levels):
     """
     if pdf.table is None:
         top = pdf.max_value
-        z_end = pdf.support_hi()
+        z_end = pdf.z_hi
         floor = min(float(np.min(c_levels)), top * 1e-9)
         u = np.geomspace(floor, top * (1.0 - 1e-12), 8193)
         adapted = np.asarray(pdf.measure_at(u), dtype=np.float64)
@@ -275,25 +286,28 @@ def slice_compare(f1, f2, c_grid=None, tol=None):
         raise ValueError("slice levels must be positive")
     if tol is None:
         tol = 1e-6 if (f1.table is None and f2.table is None) else 1e-3
+    _check_tol(tol)
     s1 = _slice_integrals(f1, c_levels)
     s2 = _slice_integrals(f2, c_levels)
     # larger slice integrals everywhere = less uncertain = majorises
     return _verdict_from_gaps(s2 - s1, tol)
 
 
-def dilation_witness(p, q, tol=1e-13):
+def dilation_witness(p, q):
     """Construct a doubly stochastic ``P`` with ``p = P q`` for ``p`` majorised by ``q``.
 
     Classic T-transform construction on the sorted copies: repeatedly average
     the largest remaining surplus coordinate with the first following deficit
     coordinate, which matches at least one coordinate per step and terminates
     within ``n - 1`` transforms.  Permutations conjugate the result back to
-    the original orderings.
+    the original orderings.  Without a surplus coordinate, or a deficit
+    after the last one, what is left is rounding that the majorisation
+    check accepted, and the construction stops.
 
     Each transform changes two coordinates, so only they are re-examined:
     the sorted copies are Python floats, and the indices whose gap ``y - x``
-    exceeds ``tol`` (surplus) or lies below ``-tol`` (deficit) are kept as
-    sorted lists, searched with ``bisect``.  The product is built in the
+    exceeds ``WITNESS_TOL`` (surplus) or lies below ``-WITNESS_TOL``
+    (deficit) are kept as sorted lists, searched with ``bisect``.  The product is built in the
     original orderings from the permutation matrix that pairs them, and a
     transform mixes its two rows in place through one strided view.  A
     transform thus costs a few scalar steps and one mix of two rows, with
@@ -313,8 +327,8 @@ def dilation_witness(p, q, tol=1e-13):
     perm_q = np.argsort(-qv, kind="stable")
     x = pv[perm_p].tolist()
     y = qv[perm_q].tolist()
-    surplus = [i for i in range(n) if y[i] - x[i] > tol]
-    deficit = [i for i in range(n) if y[i] - x[i] < -tol]
+    surplus = [i for i in range(n) if y[i] - x[i] > WITNESS_TOL]
+    deficit = [i for i in range(n) if y[i] - x[i] < -WITNESS_TOL]
     # P = Pi_p^T M Pi_q, with Pi selecting the sorted orders and M the product
     # of the transforms: P starts as Pi_p^T Pi_q (M = I), and row i of M is
     # row perm_p[i] of P with its columns permuted, so a transform mixes two
@@ -324,13 +338,10 @@ def dilation_witness(p, q, tol=1e-13):
     row_of = perm_p.tolist()
     n_factors = 0
     for _ in range(n):
-        if not surplus and not deficit:
+        if not (surplus and deficit and deficit[-1] > surplus[-1]):
             break
         j = surplus.pop()
-        at = bisect.bisect_right(deficit, j)
-        if at == len(deficit):  # pragma: no cover - excluded by the majorisation check
-            raise ValueError("no dilation witness: p is not majorised by q")
-        k = deficit.pop(at)
+        k = deficit.pop(bisect.bisect_right(deficit, j))
         delta = min(y[j] - x[j], x[k] - y[k])
         lam = 1.0 - delta / (y[j] - y[k])
         mu = 1.0 - lam
@@ -344,15 +355,15 @@ def dilation_witness(p, q, tol=1e-13):
         # only the gaps at j and k moved
         for i in (j, k):
             gap = y[i] - x[i]
-            if gap > tol:
+            if gap > WITNESS_TOL:
                 bisect.insort(surplus, i)
-            elif gap < -tol:
+            elif gap < -WITNESS_TOL:
                 bisect.insort(deficit, i)
         n_factors += 1
     return DoublyStochastic(m, n_factors=n_factors)
 
 
-def schur_preservation_check(p, q, functional, slack=1e-12):
+def schur_preservation_check(p, q, functional):
     """Whether a (Schur-concave) functional ranks ``p`` at or above ``q``.
 
     Requires ``p`` majorised by ``q`` (or equal); raises on incomparable or
@@ -363,16 +374,15 @@ def schur_preservation_check(p, q, functional, slack=1e-12):
         raise ValueError("schur check requires p majorised by q")
     hp = float(functional(_coerce_vec(p).values))
     hq = float(functional(_coerce_vec(q).values))
-    return hp >= hq - slack
+    return hp >= hq - SCHUR_SLACK
 
 
 class ContractiveMap1D:
     """Differentiable map with ``0 < |h'| <= 1`` on the support of interest."""
 
-    def __init__(self, h, dh=None, name=""):
+    def __init__(self, h, dh=None):
         self.h = h
         self.dh = dh
-        self.name = name
 
     def __call__(self, x):
         return np.asarray(self.h(np.asarray(x, dtype=np.float64)), dtype=np.float64)

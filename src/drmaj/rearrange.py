@@ -163,11 +163,10 @@ class TabulatedFn:
         with open(path) as fh:
             return cls.from_json_dict(json.load(fh))
 
-    def to_csv(self, path, monotone_comment=True):
+    def to_csv(self, path):
         # 17 significant digits round-trips IEEE doubles exactly
         with open(path, "w", newline="") as fh:
-            if monotone_comment:
-                fh.write(f"# monotone: {self.monotone}\n")
+            fh.write(f"# monotone: {self.monotone}\n")
             writer = csv.writer(fh)
             writer.writerow(["z", "value"])
             for z, v in zip(self.grid, self.values):
@@ -224,7 +223,7 @@ class DensityFn:
         with a fixed internal seed); ``None`` skips the check.
     """
 
-    def __init__(self, fn, lo, hi, integral_tol=5e-2, name=""):
+    def __init__(self, fn, lo, hi, integral_tol=5e-2):
         lo, hi = float(lo), float(hi)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("unbounded support requires explicit truncation")
@@ -233,7 +232,6 @@ class DensityFn:
         self.lo = lo
         self.hi = hi
         self._fn = fn
-        self.name = name
         if integral_tol is not None:
             est = self._mc_integral()
             if abs(est - 1.0) > integral_tol:
@@ -481,10 +479,13 @@ class DrPdf:
     """Decreasing rearrangement of a density: a nonincreasing pdf on ``[0, z_max]``.
 
     Exactly one of ``table`` (a nonincreasing TabulatedFn) or ``fn`` (a closed
-    form evaluator) must be given.  Either may carry its exact superlevel
-    ``measure`` (a :class:`Measure`): closed forms, and the mixes and
-    tropical products built from them; without one, the pdf inverts by
-    interpolating its table or a probe grid.
+    form evaluator) must be given.  ``z_hi`` is the pdf's finite extent: the
+    table's end, or for a closed form the given ``z_hi`` (default ``z_max``),
+    beyond which it is numerically negligible.  Every DR pdf carries a
+    superlevel ``measure`` (a :class:`Measure`): the exact one given
+    (closed forms, and the mixes and tropical products built from them), or
+    an inexact one interpolating the table, or a closed form's samples on
+    8193 points of ``[0, z_hi]``.
 
     Evaluation at negative ``z`` raises; beyond ``z_max`` the pdf is 0.
     """
@@ -496,13 +497,10 @@ class DrPdf:
         z_max=None,
         measure=None,
         mass_tol=1e-6,
-        probe_hi=None,
-        name="",
+        z_hi=None,
     ):
         if (table is None) == (fn is None):
             raise ValueError("provide exactly one of table or fn")
-        self.name = name
-        self.measure = measure
         if table is not None:
             if table.monotone != "nonincreasing":
                 table = TabulatedFn(table.grid, table.values, "nonincreasing")
@@ -512,7 +510,7 @@ class DrPdf:
                 raise ValueError("DR pdf values must be nonnegative")
             self.table = table
             self.fn = None
-            self.z_max = float(table.grid[-1])
+            self.z_max = self.z_hi = float(table.grid[-1])
             self.max_value = float(table.values[0])
             if mass_tol is not None:
                 mass = float(np.trapezoid(table.values, table.grid))
@@ -527,20 +525,27 @@ class DrPdf:
             self.table = None
             self.fn = fn
             self.z_max = float(z_max)
-            if probe_hi is None:
-                if math.isfinite(self.z_max):
-                    probe_hi = self.z_max
-                else:
-                    raise ValueError("probe_hi required for closed forms on [0, inf)")
-            self.probe_hi = float(probe_hi)
-            zp = _probe_grid(self.probe_hi)
-            vp = self._eval_fn(zp)
+            self.z_hi = self.z_max if z_hi is None else float(z_hi)
+            if not (math.isfinite(self.z_hi) and self.z_hi > 0.0):
+                raise ValueError(f"z_hi must be finite and positive, got {self.z_hi!r}")
+            vp = self._eval_fn(_probe_grid(self.z_hi))
             if np.any(vp < -1e-12):
                 raise ValueError("DR pdf values must be nonnegative")
             scale = max(float(vp[0]), 1.0)
             if np.any(np.diff(vp) > 1e-9 * scale):
                 raise ValueError("DR pdf must be nonincreasing")
             self.max_value = float(vp[0])
+        if not measure:
+            if self.table is not None:
+                zs, vs = self.table.grid, self.table.values
+            else:
+                zs = _probe_grid(self.z_hi, 8193)
+                vs = self._eval_fn(zs)
+            # the closure holds the samples, not self: a cycle through it
+            # would keep a dropped pdf alive until the garbage collector runs
+            vs, zs = vs[::-1], zs[::-1]
+            measure = Measure(lambda v: np.interp(v, vs, zs), self.max_value, exact=False)
+        self.measure = measure
 
     def _eval_fn(self, z):
         out = np.asarray(self.fn(z), dtype=np.float64)
@@ -563,36 +568,18 @@ class DrPdf:
     def measure_at(self, v):
         """Superlevel measure ``|{f~ >= v}|``, the generalised inverse of the pdf.
 
-        Values above the maximum map to 0; values below the tabulated range
-        map to the end of the table.
+        Values above the maximum map to 0; values below the tabulated or
+        sampled range map to its end.
         """
-        vv = np.atleast_1d(np.asarray(v, dtype=np.float64))
-        if self.measure is not None:
-            out = self.measure(vv)
-        elif self.table is not None:
-            out = np.interp(vv, self.table.values[::-1], self.table.grid[::-1])
-        else:
-            zp = _probe_grid(self.probe_hi, 8193)
-            vp = self._eval_fn(zp)
-            out = np.interp(vv, vp[::-1], zp[::-1])
+        out = self.measure(np.atleast_1d(np.asarray(v, dtype=np.float64)))
         return out if np.asarray(v).ndim else float(out[0])
 
     def tabulated(self, n=4096, z_hi=None):
         """Sample the pdf on a uniform grid as a TabulatedFn."""
-        if z_hi is None:
-            z_hi = self.z_max if math.isfinite(self.z_max) else self.probe_hi
-        z = np.linspace(0.0, z_hi, int(n))
+        z = np.linspace(0.0, self.z_hi if z_hi is None else z_hi, int(n))
         vals = self(z)
         vals = np.minimum.accumulate(vals)  # fp guard
         return TabulatedFn(z, vals, "nonincreasing")
-
-    def support_hi(self):
-        """A finite z beyond which the pdf is numerically negligible."""
-        if self.table is not None:
-            return float(self.table.grid[-1])
-        if math.isfinite(self.z_max):
-            return self.z_max
-        return self.probe_hi
 
 
 class DrCdf:
@@ -613,11 +600,9 @@ class DrCdf:
         z_hi=None,
         z_max=None,
         require_concave=True,
-        name="",
     ):
         if (table is None) == (fn is None):
             raise ValueError("provide exactly one of table or fn")
-        self.name = name
         self.pdf = pdf
         self.inverse = inverse
         self.z_max = float(z_max) if z_max is not None else math.inf
@@ -834,8 +819,8 @@ def dr_from_density_1d(f, m_thresholds=16384, normalize=True):
         )
     if normalize:
         table = TabulatedFn(table.grid, table.values / mass, "nonincreasing")
-        return DrPdf(table=table, name=f.name and f"dr({f.name})")
-    return DrPdf(table=table, mass_tol=None, name=f.name and f"dr({f.name})")
+        return DrPdf(table=table)
+    return DrPdf(table=table, mass_tol=None)
 
 
 def cdf_of_dr(f):
@@ -852,14 +837,14 @@ def cdf_of_dr(f):
     """
     if not isinstance(f, DrPdf):
         raise TypeError("cdf_of_dr expects a DrPdf")
-    z = f.table.grid if f.table is not None else np.linspace(0.0, f.support_hi(), 16385)
+    z = f.table.grid if f.table is not None else np.linspace(0.0, f.z_hi, 16385)
     cum = np.maximum.accumulate(cumulative_trapezoid(f(z), z, initial=0))
     total = float(cum[-1])
     if abs(total - 1.0) > 1e-4:
         raise ValueError(f"cdf total {total:.6g} is not within 1e-4 of 1; extend the grid")
     cum /= total
     table = TabulatedFn(z, np.clip(cum, 0.0, 1.0), "nondecreasing")
-    return DrCdf(table=table, pdf=f, name=f.name and f"cdf({f.name})")
+    return DrCdf(table=table, pdf=f)
 
 
 def pdf_of_cdf(F):
@@ -887,7 +872,7 @@ def pdf_of_cdf(F):
 
     zs = _settle(raw.copy(), beyond)
     table = TabulatedFn(zs, np.repeat(slopes, 2), "nonincreasing")
-    return DrPdf(table=table, mass_tol=1e-3, name=F.name and f"pdf({F.name})")
+    return DrPdf(table=table, mass_tol=1e-3)
 
 
 def functional_inverse(g):

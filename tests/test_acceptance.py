@@ -85,7 +85,7 @@ def test_criterion_01_beta_roundtrip():
     failures = []
     t0 = time.perf_counter()
     density = DensityFn.from_univariate(
-        lambda x: 12.0 * x**2 * (1.0 - x), 0.0, 1.0, name="beta32"
+        lambda x: 12.0 * x**2 * (1.0 - x), 0.0, 1.0
     )
     F = cdf_of_dr(dr_from_density_1d(density))
     z = np.linspace(0.0, 1.0, 1001)

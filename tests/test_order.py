@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import continuous_comparable_pair, discrete_comparable_pair
@@ -267,6 +267,56 @@ def test_non_finite_probabilities_are_rejected(call, args):
 def test_dilation_witness_requires_order():
     with pytest.raises(ValueError, match="no dilation witness"):
         dilation_witness([0.9, 0.1], [0.6, 0.4])
+    with pytest.raises(ValueError, match="no dilation witness"):
+        dilation_witness([0.2, 0.3, 0.5], [0.4, 0.4, 0.2])
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        ([0.5, 0.5], [0.5 - 2e-13, 0.5 - 2e-13]),
+        ([0.5, 0.3, 0.2], [0.5, 0.3 + 4e-13, 0.2 - 3e-13]),
+    ],
+    ids=["no_surplus", "no_deficit_after_surplus"],
+)
+def test_dilation_witness_of_pairs_equal_within_rounding(p, q):
+    # the gaps left are rounding within the majorisation check's 1e-12
+    assert majorizes_discrete(p, q) is OrderVerdict.EQUAL
+    w = dilation_witness(p, q)
+    assert np.max(np.abs(w.matrix @ np.asarray(q) - np.asarray(p))) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=st.lists(st.integers(0, 4), min_size=1, max_size=9).filter(any),
+    data=st.data(),
+)
+def test_dilation_witness_of_rounding_perturbed_equal_pairs(weights, data):
+    p = np.asarray(weights, dtype=np.float64) / sum(weights)
+    sizes = st.floats(1e-13, 5e-13)
+    signs = st.sampled_from([-1.0, 1.0])
+    e = np.array([data.draw(sizes) * data.draw(signs) for _ in weights])
+    perm = data.draw(st.permutations(range(p.size)))
+    q = (p + e)[list(perm)]
+    assume(abs(float(q.sum()) - 1.0) <= 1e-12)
+    assert majorizes_discrete(p, q) is OrderVerdict.EQUAL
+    w = dilation_witness(p, q)
+    assert np.max(np.abs(w.matrix @ ProbVector(q).values - p)) <= 1e-11
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+@pytest.mark.parametrize("route", ["slice_compare", "majorizes_discrete", "majorizes_matrix"])
+def test_verdict_routes_reject_bad_tolerances(route, tol):
+    # with a valid tol each of these pairs gives PRECEDES
+    calls = {
+        "slice_compare": lambda: slice_compare(dr_exp_iid(2)[0], dr_exp_iid(1)[0], tol=tol),
+        "majorizes_discrete": lambda: majorizes_discrete([0.5, 0.3, 0.2], [0.6, 0.3, 0.1], tol=tol),
+        "majorizes_matrix": lambda: majorizes_matrix(
+            [[0.5, 0.3], [0.2, 0.0]], [[0.6, 0.3], [0.1, 0.0]], tol=tol
+        ),
+    }
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        calls[route]()
 
 
 def test_doubly_stochastic_validation():

@@ -1,5 +1,8 @@
 """Rearrangement core: measure functions, DR construction, carriers."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,13 +35,13 @@ from drmaj.rearrange import (
 
 def beta32_density():
     return DensityFn.from_univariate(
-        lambda x: 12.0 * x**2 * (1.0 - x), 0.0, 1.0, name="beta32"
+        lambda x: 12.0 * x**2 * (1.0 - x), 0.0, 1.0
     )
 
 
 def triangle_density():
     return DensityFn.from_univariate(
-        lambda x: np.maximum(1.0 - np.abs(x), 0.0), -1.0, 1.0, name="triangle"
+        lambda x: np.maximum(1.0 - np.abs(x), 0.0), -1.0, 1.0
     )
 
 
@@ -181,6 +184,35 @@ def test_dr_pdf_rejects_bad_tables():
         DrPdf()
     with pytest.raises(ValueError, match="z_max"):
         DrPdf(fn=lambda z: np.exp(-z))
+
+
+@pytest.mark.parametrize("z_hi", [np.nan, np.inf, 0.0, None])
+def test_dr_pdf_rejects_an_infinite_or_empty_extent(z_hi):
+    with pytest.raises(ValueError, match="z_hi must be finite and positive"):
+        DrPdf(fn=lambda z: np.exp(-z), z_max=np.inf, z_hi=z_hi)
+
+
+def test_measure_without_an_exact_one_interpolates_the_samples():
+    tab = dr_from_density_1d(triangle_density())
+    beta, _ = dr_beta32()
+    assert not tab.measure.exact and not beta.measure.exact
+    v = np.concatenate([[0.0, 1e-12], np.geomspace(1e-6, 2.0, 500)])
+    t = tab.table
+    assert np.array_equal(tab.measure_at(v), np.interp(v, t.values[::-1], t.grid[::-1]))
+    zp = np.linspace(0.0, 1.0, 8193)
+    vp = beta(zp)
+    assert np.array_equal(beta.measure_at(v), np.interp(v, vp[::-1], zp[::-1]))
+    assert beta.measure_at(0.5) == float(np.interp(0.5, vp[::-1], zp[::-1]))
+
+
+def test_dropped_pdfs_are_freed_without_the_garbage_collector():
+    # a measure closure holding the pdf would form a cycle that outlives it
+    gc.disable()
+    try:
+        refs = [weakref.ref(dr_from_density_1d(triangle_density())), weakref.ref(dr_beta32()[0])]
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_dr_cdf_rejects_bad_tables():
