@@ -300,9 +300,10 @@ def dilation_witness(p, q):
     the largest remaining surplus coordinate with the first following deficit
     coordinate, which matches at least one coordinate per step and terminates
     within ``n - 1`` transforms.  Permutations conjugate the result back to
-    the original orderings.  Without a surplus coordinate, or a deficit
-    after the last one, what is left is rounding that the majorisation
-    check accepted, and the construction stops.
+    the original orderings.  A surplus coordinate with no deficit after it,
+    and any deficit left once no surplus remains, is rounding that the
+    majorisation check accepted: such a surplus is dropped, and the
+    construction stops when none is left.
 
     Each transform changes two coordinates, so only they are re-examined:
     the sorted copies are Python floats, and the indices whose gap ``y - x``
@@ -338,7 +339,11 @@ def dilation_witness(p, q):
     row_of = perm_p.tolist()
     n_factors = 0
     for _ in range(n):
-        if not (surplus and deficit and deficit[-1] > surplus[-1]):
+        # a surplus with no deficit after it is rounding that the check
+        # accepted; drop it and go on with the surplus before it
+        while surplus and not (deficit and deficit[-1] > surplus[-1]):
+            surplus.pop()
+        if not surplus:
             break
         j = surplus.pop()
         k = deficit.pop(bisect.bisect_right(deficit, j))

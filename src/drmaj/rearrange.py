@@ -480,8 +480,8 @@ class DrPdf:
 
     Exactly one of ``table`` (a nonincreasing TabulatedFn) or ``fn`` (a closed
     form evaluator) must be given.  ``z_hi`` is the pdf's finite extent: the
-    table's end, or for a closed form the given ``z_hi`` (default ``z_max``),
-    beyond which it is numerically negligible.  Every DR pdf carries a
+    table's end, or for a closed form its finite ``z_max``, or else the given
+    ``z_hi`` beyond which it is numerically negligible.  Every DR pdf carries a
     superlevel ``measure`` (a :class:`Measure`): the exact one given
     (closed forms, and the mixes and tropical products built from them), or
     an inexact one interpolating the table, or a closed form's samples on
@@ -528,6 +528,8 @@ class DrPdf:
             self.z_hi = self.z_max if z_hi is None else float(z_hi)
             if not (math.isfinite(self.z_hi) and self.z_hi > 0.0):
                 raise ValueError(f"z_hi must be finite and positive, got {self.z_hi!r}")
+            if math.isfinite(self.z_max) and self.z_hi != self.z_max:
+                raise ValueError("z_hi must equal a finite z_max")
             vp = self._eval_fn(_probe_grid(self.z_hi))
             if np.any(vp < -1e-12):
                 raise ValueError("DR pdf values must be nonnegative")
@@ -535,7 +537,7 @@ class DrPdf:
             if np.any(np.diff(vp) > 1e-9 * scale):
                 raise ValueError("DR pdf must be nonincreasing")
             self.max_value = float(vp[0])
-        if not measure:
+        if measure is None:
             if self.table is not None:
                 zs, vs = self.table.grid, self.table.values
             else:

@@ -286,6 +286,36 @@ def test_dilation_witness_of_pairs_equal_within_rounding(p, q):
     assert np.max(np.abs(w.matrix @ np.asarray(q) - np.asarray(p))) <= 1e-12
 
 
+def test_dilation_witness_drops_a_rounding_surplus_before_a_real_step():
+    # gaps +0.1, -0.1, +2e-13: the last surplus is rounding with no deficit
+    # after it, yet the first one still needs a transform
+    p, q = [0.4, 0.4, 0.2], [0.5, 0.3, 0.2 + 2e-13]
+    assert majorizes_discrete(p, q) is OrderVerdict.PRECEDES
+    w = dilation_witness(p, q)
+    assert w.n_factors == 1
+    assert np.max(np.abs(w.matrix @ np.asarray(q) - np.asarray(p))) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=st.lists(st.integers(0, 4), min_size=1, max_size=9).filter(any),
+    mix=st.lists(st.integers(0, 3), min_size=1, max_size=3).filter(any),
+    data=st.data(),
+)
+def test_dilation_witness_of_rounding_perturbed_preceding_pairs(weights, mix, data):
+    # p a doubly stochastic image of q, then q perturbed at rounding level
+    q = np.asarray(weights, dtype=np.float64) / sum(weights)
+    perms = [data.draw(st.permutations(range(q.size))) for _ in mix]
+    p = sum(c * q[list(perm)] for c, perm in zip(mix, perms)) / sum(mix)
+    sizes = st.floats(1e-13, 5e-13)
+    signs = st.sampled_from([-1.0, 1.0])
+    q = q + np.array([data.draw(sizes) * data.draw(signs) for _ in weights])
+    assume(abs(float(q.sum()) - 1.0) <= 1e-12 and abs(float(p.sum()) - 1.0) <= 1e-12)
+    assume(majorizes_discrete(p, q) in (OrderVerdict.PRECEDES, OrderVerdict.EQUAL))
+    w = dilation_witness(p, q)
+    assert np.max(np.abs(w.matrix @ ProbVector(q).values - p)) <= 1e-11
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     weights=st.lists(st.integers(0, 4), min_size=1, max_size=9).filter(any),

@@ -190,6 +190,11 @@ def test_dr_pdf_rejects_bad_tables():
 def test_dr_pdf_rejects_an_infinite_or_empty_extent(z_hi):
     with pytest.raises(ValueError, match="z_hi must be finite and positive"):
         DrPdf(fn=lambda z: np.exp(-z), z_max=np.inf, z_hi=z_hi)
+    # a finite z_max is the extent; another z_hi would truncate or pad it
+    for other in (1.0, 3.0):
+        with pytest.raises(ValueError, match="z_hi must equal a finite z_max"):
+            DrPdf(fn=lambda z: np.exp(-z), z_max=2.0, z_hi=other)
+    assert DrPdf(fn=lambda z: np.exp(-z), z_max=2.0, z_hi=2.0).z_hi == 2.0
 
 
 def test_measure_without_an_exact_one_interpolates_the_samples():
