@@ -232,7 +232,7 @@ def _measure_of_cdf(F):
     table = F.table if F.table is not None else F.tabulated(8193)
     widths = np.diff(table.grid)
     slopes = np.diff(table.values) / widths
-    step = _layer_cake(widths, slopes, slopes, 0)
+    step = _layer_cake(widths, slopes, slopes)
     return Measure(step, slopes.max(), jumps=np.unique(slopes))
 
 

@@ -20,7 +20,6 @@ from .rearrange import (
     DrCdf,
     DrPdf,
     Grid,
-    _layer_cake,
     cdf_of_dr,
     dr_from_density_1d,
 )
@@ -239,12 +238,29 @@ def compare_cdfs(f1, f2, grid=None, tol=None):
 
 
 def _slice_integrals(pdf, c_levels):
-    """Integrals of (f - c)_+ over z, one per level c, by ``_layer_cake``.
+    """Integrals ``S(c)`` of (f - c)_+ over z, one per level c, by one prefix sum.
+
+    The pdf's samples v on knots z (``z[0] = 0``) are nonincreasing, so
+    ``{f >= c}`` is ``[0, m(c)]`` and S(c) is the integral of m from c up
+    to the maximum (Lieb & Loss, *Analysis*, 1.13).  On the level axis m is
+    piecewise linear between the samples, so one ``cumsum`` of its
+    trapezoids gives S at every sample, and with j the last knot having
+    ``v[j] >= c`` (one ``searchsorted``),
+
+        S(c) = S(v[j]) + (v[j] - c) (z[j] + m(c)) / 2,
+
+    where m(c) interpolates the piece ``[z[j], z[j+1]]``, or is the last
+    knot when c is at or below the last sample; S(c) = 0 above the
+    maximum.  That is the area under the pdf up to z[j], less ``c z[j]``,
+    plus the piece, but as a sum of nonnegative terms, so nothing cancels.
+    ``np.minimum.accumulate`` first flattens tables that rise by up to
+    ``MONOTONE_TOL``, as :meth:`DrPdf.tabulated` does.
 
     Closed-form pdfs get sampling nodes adapted through the superlevel
     measure (geometric in value), so regions where the DR moves fast in
     value, such as an unbounded slope at z = 0 or a flat maximum, are
-    resolved without a huge uniform grid.
+    resolved without a huge uniform grid; the midpoints of those nodes are
+    interleaved between them.
     """
     if pdf.table is None:
         top = pdf.max_value
@@ -252,16 +268,23 @@ def _slice_integrals(pdf, c_levels):
         floor = min(float(np.min(c_levels)), top * 1e-9)
         u = np.geomspace(floor, top * (1.0 - 1e-12), 8193)
         adapted = np.asarray(pdf.measure_at(u), dtype=np.float64)
-        z = np.unique(np.concatenate([adapted, np.linspace(0.0, z_end, 16385)]))
-        z = z[(z >= 0.0) & (z <= z_end)]
-        z = np.sort(np.concatenate([z, 0.5 * (z[1:] + z[:-1])]))
+        nodes = np.unique(np.concatenate([adapted, np.linspace(0.0, z_end, 16385)]))
+        nodes = nodes[(nodes >= 0.0) & (nodes <= z_end)]
+        z = np.empty(2 * nodes.size - 1)
+        z[0::2] = nodes
+        z[1::2] = 0.5 * (nodes[1:] + nodes[:-1])
         v = pdf(z)
     else:
         z = pdf.table.grid
         v = pdf.table.values
-    lo = np.minimum(v[:-1], v[1:])
-    hi = np.maximum(v[:-1], v[1:])
-    return _layer_cake(np.diff(z), lo, hi, 1)(c_levels)
+    v = np.minimum.accumulate(v)  # fp guard
+    s_knots = np.append(0.0, np.cumsum(0.5 * (z[1:] + z[:-1]) * (v[:-1] - v[1:])))
+    j = np.maximum(np.searchsorted(-v, -c_levels, side="right") - 1, 0)
+    k = np.minimum(j + 1, v.size - 1)
+    d = np.maximum(v[j] - c_levels, 0.0)  # 0 above the maximum, where j = 0
+    drop = v[j] - v[k]  # > 0 unless j is the last knot
+    m = z[j] + np.divide(d * (z[k] - z[j]), drop, out=np.zeros_like(d), where=drop > 0)
+    return s_knots[j] + 0.5 * d * (z[j] + m)
 
 
 def slice_compare(f1, f2, c_grid=None, tol=None):

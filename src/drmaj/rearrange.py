@@ -14,6 +14,7 @@ serialisation for tabulated functions.
 """
 
 import csv
+import functools
 import io
 import json
 import math
@@ -209,6 +210,15 @@ def load_tabulated(path):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _integral_check_draws():
+    """The fixed uniform draws of the density integral check, made once, read-only."""
+    rng = np.random.Generator(np.random.Philox(key=_INTEGRAL_CHECK_SEED))
+    u = rng.random(65536)
+    u.flags.writeable = False
+    return u
+
+
 class DensityFn:
     """Nonnegative univariate density on a finite interval ``[lo, hi]``.
 
@@ -250,8 +260,7 @@ class DensityFn:
     __call__ = eval
 
     def _mc_integral(self):
-        rng = np.random.Generator(np.random.Philox(key=_INTEGRAL_CHECK_SEED))
-        vals = self.eval(self.lo + rng.random(65536) * (self.hi - self.lo))
+        vals = self.eval(self.lo + _integral_check_draws() * (self.hi - self.lo))
         if np.any(vals < -1e-12):
             raise ValueError("density takes negative values")
         return float(np.mean(vals) * (self.hi - self.lo))
@@ -324,13 +333,12 @@ class Measure:
         return Measure(fn, self.vmax / k, self.breaks / k, self.jumps / k, self.exact)
 
 
-def _layer_cake(w, lo, hi, power):
-    """Layer-cake sums over linear pieces, as a function of the level y.
+def _layer_cake(w, lo, hi):
+    """Layer-cake measures over linear pieces, as a function of the level y.
 
     Piece i has width ``w[i]`` and runs linearly between the values
-    ``lo[i] <= hi[i]``.  The returned function maps an array of levels y to
-    the sum over pieces of the part at or above y: for ``power`` 0 the
-    measure of ``{f >= y}``, for ``power`` 1 the integral of ``(f - y)_+``
+    ``lo[i] <= hi[i]``, in either direction.  The returned function maps an
+    array of levels y to the measure of ``{f >= y}``, summed over the pieces
     (Lieb & Loss, *Analysis*, 1.13).  A piece with ``lo >= y`` counts in
     full; sorted by rising ``lo`` such pieces form a suffix, so suffix sums
     and one ``searchsorted`` give that part for every level at once.  A
@@ -341,13 +349,12 @@ def _layer_cake(w, lo, hi, power):
     """
     order = np.argsort(lo, kind="stable")
     w, lo, hi = w[order], lo[order], hi[order]
-    parts = [w] if power == 0 else [0.5 * (lo + hi) * w, w]
-    suffix = [np.append(np.cumsum(p[::-1])[::-1], 0.0) for p in parts]
+    suffix = np.append(np.cumsum(w[::-1])[::-1], 0.0)
     steps = bool(np.all(lo == hi))
 
     def at(y):
         k = np.searchsorted(lo, y, side="left")  # pieces k, k+1, ... have lo >= y
-        out = suffix[0][k] if power == 0 else suffix[0][k] - y * suffix[1][k]
+        out = suffix[k]
         if steps:
             return out
         levels = np.argsort(y, kind="stable")
@@ -358,8 +365,6 @@ def _layer_cake(w, lo, hi, power):
         lev = levels[np.arange(piece.size) + np.repeat(first - np.cumsum(count) + count, count)]
         c = y[lev]
         part = w[piece] * ((hi[piece] - c) / (hi[piece] - lo[piece]))
-        if power:
-            part = 0.5 * (hi[piece] - c) * part
         return out + np.bincount(lev, weights=part, minlength=y.size)
 
     return at
@@ -374,7 +379,7 @@ def _superlevel_measures(z, fz, thresholds):
     """
     lo = np.minimum(fz[:-1], fz[1:])
     hi = np.maximum(fz[:-1], fz[1:])
-    return _layer_cake(np.diff(z), lo, hi, 0)(np.asarray(thresholds, dtype=np.float64))
+    return _layer_cake(np.diff(z), lo, hi)(np.asarray(thresholds, dtype=np.float64))
 
 
 def measure_function(f, thresholds, n_samples=32769):
@@ -414,6 +419,13 @@ def measure_function(f, thresholds, n_samples=32769):
 # ---------------------------------------------------------------------------
 # DR pdf / cdf carriers
 # ---------------------------------------------------------------------------
+
+
+def _extent(z_hi):
+    z_hi = float(z_hi)
+    if not (math.isfinite(z_hi) and z_hi > 0.0):
+        raise ValueError(f"z_hi must be finite and positive, got {z_hi!r}")
+    return z_hi
 
 
 def _probe_grid(z_hi, n=2049):
@@ -525,9 +537,7 @@ class DrPdf:
             self.table = None
             self.fn = fn
             self.z_max = float(z_max)
-            self.z_hi = self.z_max if z_hi is None else float(z_hi)
-            if not (math.isfinite(self.z_hi) and self.z_hi > 0.0):
-                raise ValueError(f"z_hi must be finite and positive, got {self.z_hi!r}")
+            self.z_hi = _extent(self.z_max if z_hi is None else z_hi)
             if math.isfinite(self.z_max) and self.z_hi != self.z_max:
                 raise ValueError("z_hi must equal a finite z_max")
             vp = self._eval_fn(_probe_grid(self.z_hi))
@@ -627,7 +637,7 @@ class DrCdf:
                 raise ValueError("closed-form DR cdf requires z_hi with F(z_hi) ~ 1")
             self.table = None
             self.fn = fn
-            self.z_hi = float(z_hi)
+            self.z_hi = _extent(z_hi)
             f0 = float(np.atleast_1d(fn(np.array([0.0])))[0])
             ftop = float(np.atleast_1d(fn(np.array([self.z_hi])))[0])
             if abs(f0) > 1e-9:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import continuous_comparable_pair, discrete_comparable_pair
 from drmaj.algebra import direct_mix_discrete, inverse_mix_discrete
 from drmaj.entropy import entropy_discrete
-from drmaj.families import dr_exp_iid, dr_mvn
+from drmaj.families import dr_exp_iid, dr_family, dr_mvn, parse_family
 from drmaj.order import (
     CdfComparison,
     ContractiveMap1D,
@@ -422,6 +422,54 @@ def test_slice_integrals_match_loop(steps, widths, levels):
     pdf = DrPdf(table=TabulatedFn(z, v, "nonincreasing"), mass_tol=None)
     c = np.asarray(levels)
     assert np.max(np.abs(_slice_integrals(pdf, c) - _loop_slice_integrals(z, v, c))) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "spec, slice_fn",
+    [
+        ("exp:n=1", lambda c: 1.0 - c + c * np.log(c)),
+        ("exprate:theta=0.5", lambda c: 1.0 - c / 0.5 - c * np.log(0.5 / c) / 0.5),
+    ],
+)
+def test_slice_integrals_of_closed_forms(spec, slice_fn):
+    # S(c) = integral of (f~ - c)_+ in closed form, on slice_compare's 512 levels
+    f, _ = dr_family(parse_family(spec))
+    c = np.geomspace(f.max_value * (1.0 - 1e-9), f.max_value * 1e-8, 512)
+    assert np.max(np.abs(_slice_integrals(f, c) - slice_fn(c))) <= 1e-7
+
+
+def test_slice_integrals_at_the_edge_levels():
+    z = np.array([0.0, 0.5, 1.5, 2.0, 3.25])
+    v = np.array([1.2, 0.8, 0.8, 0.3, 0.3])
+    pdf = DrPdf(table=TabulatedFn(z, v, "nonincreasing"), mass_tol=None)
+    # above the maximum, nothing is left
+    assert np.array_equal(_slice_integrals(pdf, np.array([1.2 + 1e-9, 5.0])), [0.0, 0.0])
+    # a level equal to a knot value, at the top, on a flat run and at the bottom
+    knots = np.array([1.2, 0.8, 0.3])
+    assert np.allclose(_slice_integrals(pdf, knots), _loop_slice_integrals(z, v, knots),
+                       rtol=0.0, atol=1e-15)
+    # below the minimum, the whole area less c times the extent
+    below = np.array([0.25, 1e-3])
+    want = np.trapezoid(v, z) - below * z[-1]
+    assert np.allclose(_slice_integrals(pdf, below), want, rtol=0.0, atol=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=40), min_size=2, max_size=60),
+    st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=60, max_size=60),
+    st.lists(st.floats(min_value=0.0, max_value=1e-13), min_size=60, max_size=60),
+    st.lists(st.floats(min_value=1e-3, max_value=6.0), min_size=1, max_size=40),
+)
+def test_slice_integrals_of_rising_tables_match_loop(steps, widths, rises, levels):
+    # tables may rise by up to 1e-13 per knot within MONOTONE_TOL; the kernel
+    # flattens such rises first, and the loop integrates them as given
+    v = np.sort(0.1 * np.asarray(steps, dtype=np.float64))[::-1]
+    v = v + np.asarray(rises[: v.size])
+    z = np.concatenate([[0.0], np.cumsum(widths[: v.size - 1])])
+    pdf = DrPdf(table=TabulatedFn(z, v, "nonincreasing"), mass_tol=None)
+    c = np.concatenate([levels, v])
+    assert np.max(np.abs(_slice_integrals(pdf, c) - _loop_slice_integrals(z, v, c))) <= 1e-10
 
 
 @pytest.mark.parametrize("bad, cause", [("shuffled", "strictly increasing"), ("nan", "finite")])

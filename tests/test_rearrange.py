@@ -197,6 +197,13 @@ def test_dr_pdf_rejects_an_infinite_or_empty_extent(z_hi):
     assert DrPdf(fn=lambda z: np.exp(-z), z_max=2.0, z_hi=2.0).z_hi == 2.0
 
 
+
+@pytest.mark.parametrize("z_hi", [np.inf, np.nan, 0.0, -1.0])
+def test_dr_cdf_rejects_an_infinite_or_empty_extent(z_hi):
+    # rejected before the closed form is probed on linspace(0, z_hi)
+    with pytest.raises(ValueError, match="z_hi must be finite and positive"):
+        DrCdf(fn=lambda z: -np.expm1(-z), z_hi=z_hi)
+
 def test_measure_without_an_exact_one_interpolates_the_samples():
     tab = dr_from_density_1d(triangle_density())
     beta, _ = dr_beta32()
@@ -502,7 +509,7 @@ def test_layer_cake_matches_loop(samples, widths, levels):
     w = np.asarray(widths[: v.size - 1])
     lo, hi = np.minimum(v[:-1], v[1:]), np.maximum(v[:-1], v[1:])
     y = np.asarray(levels)
-    got = _layer_cake(w, lo, hi, 0)(y)
+    got = _layer_cake(w, lo, hi)(y)
     assert np.max(np.abs(got - _loop_superlevel_measures(w, lo, hi, y))) <= 1e-12
 
 
@@ -514,7 +521,7 @@ def test_layer_cake_of_steps_is_exact(samples, eighths, levels):
     v = 0.1 * np.asarray(samples, dtype=np.float64)
     w = np.asarray(eighths[: v.size], dtype=np.float64) / 8.0
     y = np.asarray(levels)
-    assert np.array_equal(_layer_cake(w, v, v, 0)(y), _loop_superlevel_measures(w, v, v, y))
+    assert np.array_equal(_layer_cake(w, v, v)(y), _loop_superlevel_measures(w, v, v, y))
 
 
 def _beta_pdf(a, b):
