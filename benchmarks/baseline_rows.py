@@ -4,11 +4,13 @@
     python3 benchmarks/baseline_rows.py PARENT_DIR CHANGE_DIR   # alternated
 
 Every row of the table except the tier-1 suite and the 2000 x 100k KDE row
-(which takes seconds a call): each row builds its inputs once, then times
-``--calls`` calls and keeps the best.  A round runs all rows in a fresh
-``python3`` per checkout, with one BLAS thread and that checkout's ``src/``
-first on ``sys.path``; with two checkouts, the one that runs first alternates
-from round to round.  Prints, per row, the best over ``--rounds`` rounds in
+(which takes seconds a call): each row runs in a fresh ``python3``, with one
+BLAS thread and the checkout's ``src/`` first on ``sys.path``, builds its
+inputs once, then times ``--calls`` calls and keeps the best.  One process
+per row keeps the rows apart: what one row leaves allocated can move another
+row's times through the allocator by a third.  A round runs every row once
+per checkout; with two checkouts, the one that runs first alternates from
+round to round.  Prints, per row, the best over ``--rounds`` rounds in
 milliseconds, one column per checkout.  Uses only the standard library; the
 rows themselves use the library's own numpy and scipy.
 """
@@ -22,15 +24,18 @@ from pathlib import Path
 
 _ROWS = r"""
 import json, sys, time
-root, calls = sys.argv[1], int(sys.argv[2])
+root, calls, row = sys.argv[1], int(sys.argv[2]), sys.argv[3]
 sys.path.insert(0, root + "/src")
 import numpy as np
 from scipy.special import beta as beta_fn
 from drmaj import algebra, entropy, order, rearrange
 from drmaj.families import dr_family, parse_family
 
-def fam(spec):
-    return dr_family(parse_family(spec))
+def pdf(spec):
+    return dr_family(parse_family(spec))[0]
+
+def cdf(spec):
+    return dr_family(parse_family(spec))[1]
 
 def beta_density():
     a, b = 2.3, 3.1
@@ -44,8 +49,11 @@ def swap_inputs():
     fz = np.maximum(f.eval(z), 0.0)
     top = float(fz.max())
     t = np.geomspace(top * (1.0 - 1e-6), top * 1e-6, 16384)
-    m = np.maximum.accumulate(rearrange._superlevel_measures(z, fz, t))
-    return m, t, top
+    return np.maximum.accumulate(rearrange._superlevel_measures(z, fz, t)), t, top
+
+def concave_inputs():
+    z = np.linspace(0.0, 10.0, 20001)
+    return z, -np.expm1(-z)
 
 def blur_pair():
     rng = np.random.default_rng(114)
@@ -54,50 +62,48 @@ def blur_pair():
     blur = 0.6 * table + 0.1 * sum(np.roll(table, s, axis=a) for s in (1, -1) for a in (0, 1))
     return blur.ravel(), table.ravel()
 
-(m1, _), (e1, E1), (e2, E2) = fam("mvn:n=1"), fam("exp:n=1"), fam("exp:n=2")
-mix12 = algebra.eval_expr("mix(exp:n=1, exp:n=2)").pdf
-z = np.linspace(0.0, 10.0, 20001)
-concave_v = -np.expm1(-z)
-e1_table = rearrange.DrPdf(table=e1.tabulated(16385))
-beta = beta_density()
-swap = swap_inputs()
-p, q = blur_pair()
+# name: (build the arguments, the timed call)
 ROWS = {
-    "slice_compare(mvn:n=1, exp:n=1), 512 levels": lambda: order.slice_compare(m1, e1),
-    "convolve_dr(exp1, exp1)": lambda: algebra.convolve_dr(e1, e1),
-    'eval_expr("mix(exp:n=1, exp:n=2)")': lambda: algebra.eval_expr("mix(exp:n=1, exp:n=2)"),
-    "inverse_mix(exp1, exp2)": lambda: algebra.inverse_mix(e1, e2),
-    "direct_mix(exp1, exp2)": lambda: algebra.direct_mix(e1, e2),
-    "otimes(exp1, exp2)": lambda: algebra.otimes(E1, E2),
-    "dr_from_density_1d(Beta(2.3, 3.1))": lambda: rearrange.dr_from_density_1d(beta),
-    "_swap_axes_to_table, 16384 thresholds": lambda: rearrange._swap_axes_to_table(*swap),
-    "_concave_flag, 20001 knots": lambda: rearrange._concave_flag(z, concave_v),
-    "cdf_of_dr, tabulated, 16385 knots": lambda: rearrange.cdf_of_dr(e1_table),
-    "compare_cdfs(exp2, exp1)": lambda: order.compare_cdfs(E2, E1),
+    "slice_compare(mvn:n=1, exp:n=1), 512 levels":
+        (lambda: (pdf("mvn:n=1"), pdf("exp:n=1")), order.slice_compare),
+    "convolve_dr(exp1, exp1)": (lambda: (pdf("exp:n=1"),) * 2, algebra.convolve_dr),
+    'eval_expr("mix(exp:n=1, exp:n=2)")': (lambda: ("mix(exp:n=1, exp:n=2)",), algebra.eval_expr),
+    "inverse_mix(exp1, exp2)": (lambda: (pdf("exp:n=1"), pdf("exp:n=2")), algebra.inverse_mix),
+    "direct_mix(exp1, exp2)": (lambda: (pdf("exp:n=1"), pdf("exp:n=2")), algebra.direct_mix),
+    "otimes(exp1, exp2)": (lambda: (cdf("exp:n=1"), cdf("exp:n=2")), algebra.otimes),
+    "dr_from_density_1d(Beta(2.3, 3.1))": (lambda: (beta_density(),), rearrange.dr_from_density_1d),
+    "_swap_axes_to_table, 16384 thresholds": (swap_inputs, rearrange._swap_axes_to_table),
+    "_concave_flag, 20001 knots": (concave_inputs, rearrange._concave_flag),
+    "cdf_of_dr, tabulated, 16385 knots":
+        (lambda: (rearrange.DrPdf(table=pdf("exp:n=1").tabulated(16385)),), rearrange.cdf_of_dr),
+    "compare_cdfs(exp2, exp1)": (lambda: (cdf("exp:n=2"), cdf("exp:n=1")), order.compare_cdfs),
     "moments_dr + entropy_dr, mix(exp:n=1, exp:n=2)":
-        lambda: (entropy.moments_dr(mix12), entropy.entropy_dr(mix12)),
-    "dilation_witness, 14 x 14 blur pair": lambda: order.dilation_witness(p, q),
-    "DensityFn(Beta(2.3, 3.1)), with its integral check": beta_density,
+        (lambda: (algebra.eval_expr("mix(exp:n=1, exp:n=2)").pdf,),
+         lambda f: (entropy.moments_dr(f), entropy.entropy_dr(f))),
+    "dilation_witness, 14 x 14 blur pair": (blur_pair, order.dilation_witness),
+    "DensityFn(Beta(2.3, 3.1)), with its integral check": (lambda: (), beta_density),
 }
-best = {}
-for name, call in ROWS.items():
-    times = []
-    for _ in range(calls):
-        t0 = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - t0)
-    best[name] = 1e3 * min(times)
-print(json.dumps(best))
+if row == "-":
+    print(json.dumps(list(ROWS)))
+    sys.exit()
+build, call = ROWS[row]
+args = build()
+times = []
+for _ in range(calls):
+    t0 = time.perf_counter()
+    call(*args)
+    times.append(time.perf_counter() - t0)
+print(json.dumps(1e3 * min(times)))
 """
 
 
-def _round(root, calls):
+def _child(root, calls, row):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", _ROWS, str(root), str(calls)],
+    proc = subprocess.run([sys.executable, "-c", _ROWS, str(root), str(calls), row],
                           cwd=root, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"{root}: exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+        raise RuntimeError(f"{root}: {row}: exited {proc.returncode}:\n{proc.stderr[-2000:]}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -113,12 +119,13 @@ def main(argv=None):
     if args.calls < 1 or args.rounds < 1:
         ap.error("--calls and --rounds must be at least 1")
     roots = [p.resolve() for p in args.checkouts]
+    rows = _child(roots[0], 1, "-")
     best = {root: {} for root in roots}
     for r in range(args.rounds):
         for root in (roots if r % 2 == 0 else roots[::-1]):
-            for name, ms in _round(root, args.calls).items():
+            for name in rows:
+                ms = _child(root, args.calls, name)
                 best[root][name] = min(ms, best[root].get(name, ms))
-    rows = best[roots[0]]
     width = max(map(len, rows))
     print(f"best of {args.calls} calls x {args.rounds} rounds, one BLAS thread, ms")
     print(f"{'row':<{width}}  " + "  ".join(f"{root.name:>12}" for root in roots))

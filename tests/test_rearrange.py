@@ -197,12 +197,12 @@ def test_dr_pdf_rejects_an_infinite_or_empty_extent(z_hi):
     assert DrPdf(fn=lambda z: np.exp(-z), z_max=2.0, z_hi=2.0).z_hi == 2.0
 
 
-
 @pytest.mark.parametrize("z_hi", [np.inf, np.nan, 0.0, -1.0])
 def test_dr_cdf_rejects_an_infinite_or_empty_extent(z_hi):
     # rejected before the closed form is probed on linspace(0, z_hi)
     with pytest.raises(ValueError, match="z_hi must be finite and positive"):
         DrCdf(fn=lambda z: -np.expm1(-z), z_hi=z_hi)
+
 
 def test_measure_without_an_exact_one_interpolates_the_samples():
     tab = dr_from_density_1d(triangle_density())
