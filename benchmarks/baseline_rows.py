@@ -112,7 +112,7 @@ def main(argv=None):
     ap.add_argument("checkouts", nargs="+", type=Path, help="one or two source checkouts")
     ap.add_argument("--calls", type=int, default=7, help="timed calls per row and round (default 7)")
     ap.add_argument("--rounds", type=int, default=3,
-                    help="fresh processes per checkout, alternated (default 3)")
+                    help="rounds of every row, the checkouts alternated (default 3)")
     args = ap.parse_args(argv)
     if len(args.checkouts) > 2:
         ap.error("give one or two checkouts")
