@@ -6,11 +6,11 @@
 Every row of the table except the tier-1 suite and the 2000 x 100k KDE row
 (which takes seconds a call): each row runs in a fresh ``python3``, with one
 BLAS thread and the checkout's ``src/`` first on ``sys.path``, builds its
-inputs once, then times ``--calls`` calls and keeps the best.  One process
+inputs once, then times ``CALLS`` (7) calls and keeps the best.  One process
 per row keeps the rows apart: what one row leaves allocated can move another
 row's times through the allocator by a third.  A round runs every row once
 per checkout; with two checkouts, the one that runs first alternates from
-round to round.  Prints, per row, the best over ``--rounds`` rounds in
+round to round.  Prints, per row, the best over ``ROUNDS`` (3) rounds in
 milliseconds, one column per checkout.  Uses only the standard library; the
 rows themselves use the library's own numpy and scipy.
 """
@@ -21,6 +21,9 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+CALLS = 7   # timed calls per row, checkout and round
+ROUNDS = 3  # rounds of every row, the checkouts alternated
 
 _ROWS = r"""
 import json, sys, time
@@ -110,24 +113,19 @@ def _child(root, calls, row):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("checkouts", nargs="+", type=Path, help="one or two source checkouts")
-    ap.add_argument("--calls", type=int, default=7, help="timed calls per row and round (default 7)")
-    ap.add_argument("--rounds", type=int, default=3,
-                    help="rounds of every row, the checkouts alternated (default 3)")
     args = ap.parse_args(argv)
     if len(args.checkouts) > 2:
         ap.error("give one or two checkouts")
-    if args.calls < 1 or args.rounds < 1:
-        ap.error("--calls and --rounds must be at least 1")
     roots = [p.resolve() for p in args.checkouts]
     rows = _child(roots[0], 1, "-")
     best = {root: {} for root in roots}
-    for r in range(args.rounds):
+    for r in range(ROUNDS):
         for root in (roots if r % 2 == 0 else roots[::-1]):
             for name in rows:
-                ms = _child(root, args.calls, name)
+                ms = _child(root, CALLS, name)
                 best[root][name] = min(ms, best[root].get(name, ms))
     width = max(map(len, rows))
-    print(f"best of {args.calls} calls x {args.rounds} rounds, one BLAS thread, ms")
+    print(f"best of {CALLS} calls x {ROUNDS} rounds, one BLAS thread, ms")
     print(f"{'row':<{width}}  " + "  ".join(f"{root.name:>12}" for root in roots))
     for name in rows:
         print(f"{name:<{width}}  " + "  ".join(f"{best[root][name]:>12.3f}" for root in roots))
