@@ -46,13 +46,10 @@ def beta_density():
         lambda x: x ** (a - 1.0) * (1.0 - x) ** (b - 1.0) / beta_fn(a, b), 0.0, 1.0)
 
 def swap_inputs():
-    # the measures and thresholds that dr_from_density_1d hands to the swap
-    f = beta_density()
-    z = np.linspace(f.lo, f.hi, 32769)
-    fz = np.maximum(f.eval(z), 0.0)
-    top = float(fz.max())
-    t = np.geomspace(top * (1.0 - 1e-6), top * 1e-6, 16384)
-    return np.maximum.accumulate(rearrange._superlevel_measures(z, fz, t)), t, top
+    # the measures and value grid that inverse_mix(exp1, exp2) hands to the swap
+    m = algebra.inverse_mix(pdf("exp:n=1"), pdf("exp:n=2")).measure
+    t = algebra._value_thresholds(m.vmax, algebra.VALUE_GRID_POINTS)
+    return m.fn(t), t, m.vmax
 
 def concave_inputs():
     z = np.linspace(0.0, 10.0, 20001)
@@ -75,7 +72,8 @@ ROWS = {
     "direct_mix(exp1, exp2)": (lambda: (pdf("exp:n=1"), pdf("exp:n=2")), algebra.direct_mix),
     "otimes(exp1, exp2)": (lambda: (cdf("exp:n=1"), cdf("exp:n=2")), algebra.otimes),
     "dr_from_density_1d(Beta(2.3, 3.1))": (lambda: (beta_density(),), rearrange.dr_from_density_1d),
-    "_swap_axes_to_table, 16384 thresholds": (swap_inputs, rearrange._swap_axes_to_table),
+    "_swap_axes_to_table, value grid of inverse_mix(exp1, exp2)":
+        (swap_inputs, rearrange._swap_axes_to_table),
     "_concave_flag, 20001 knots": (concave_inputs, rearrange._concave_flag),
     "cdf_of_dr, tabulated, 16385 knots":
         (lambda: (rearrange.DrPdf(table=pdf("exp:n=1").tabulated(16385)),), rearrange.cdf_of_dr),
@@ -84,7 +82,7 @@ ROWS = {
         (lambda: (algebra.eval_expr("mix(exp:n=1, exp:n=2)").pdf,),
          lambda f: (entropy.moments_dr(f), entropy.entropy_dr(f))),
     "dilation_witness, 14 x 14 blur pair": (blur_pair, order.dilation_witness),
-    "DensityFn(Beta(2.3, 3.1)), with its integral check": (lambda: (), beta_density),
+    "DensityFn(Beta(2.3, 3.1)), its samples and mass check": (lambda: (), beta_density),
 }
 if row == "-":
     print(json.dumps(list(ROWS)))

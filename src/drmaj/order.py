@@ -461,6 +461,6 @@ def contractive_ordering_check(f, h, tol=None):
     g = DensityFn.from_univariate(
         pushforward, float(y_grid[0]), float(y_grid[-1]), integral_tol=None
     )
-    fd = dr_from_density_1d(f, m_thresholds=8192)
-    gd = dr_from_density_1d(g, m_thresholds=8192)
+    fd = dr_from_density_1d(f)
+    gd = dr_from_density_1d(g)
     return majorizes_cdf(cdf_of_dr(fd), cdf_of_dr(gd), tol=tol)

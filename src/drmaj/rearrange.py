@@ -4,8 +4,9 @@ The decreasing rearrangement (DR) of a density ``f`` is the nonincreasing
 function ``f~`` on ``[0, inf)`` sharing the value distribution of ``f``: for
 every threshold ``y`` the superlevel sets ``{f >= y}`` and ``{f~ >= y}`` have
 the same Lebesgue measure.  The measure function ``m(y) = |{f >= y}|`` is the
-generalised inverse of ``f~``, so rearrangement reduces to computing ``m`` on
-a threshold grid and swapping axes.
+generalised inverse of ``f~``, so rearrangement reduces to computing ``m`` at
+a set of levels (a sampled density's own sample values, or a threshold grid)
+and swapping axes.
 
 This module provides the carriers (grids, tabulated monotone functions,
 densities, sampled and exact measure functions, DR pdfs and DR cdfs), the
@@ -14,7 +15,6 @@ serialisation for tabulated functions.
 """
 
 import csv
-import functools
 import io
 import json
 import math
@@ -45,8 +45,6 @@ KNOT_GAP = 1e-12
 
 #: tolerance for monotonicity validation of tabulated data
 MONOTONE_TOL = 1e-12
-
-_INTEGRAL_CHECK_SEED = 202406
 
 
 def _asarray1d(x, name="array"):
@@ -210,17 +208,15 @@ def load_tabulated(path):
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def _integral_check_draws():
-    """The fixed uniform draws of the density integral check, made once, read-only."""
-    rng = np.random.Generator(np.random.Philox(key=_INTEGRAL_CHECK_SEED))
-    u = rng.random(65536)
-    u.flags.writeable = False
-    return u
-
-
 class DensityFn:
     """Nonnegative univariate density on a finite interval ``[lo, hi]``.
+
+    The function is sampled once, at construction, on 16385 cosine-spaced
+    points ``z_j = lo + (hi - lo)(1 - cos(pi j / 16384)) / 2``, which
+    cluster at the ends of the interval, where a density may rise with an
+    infinite slope.  ``z`` and ``fz`` keep the points and the samples;
+    :func:`dr_from_density_1d` rearranges these samples and evaluates
+    nothing more.
 
     Parameters
     ----------
@@ -229,8 +225,9 @@ class DensityFn:
     lo, hi : float
         Finite support bounds, ``lo < hi``.
     integral_tol : float or None
-        Monte Carlo integral check tolerance at construction (default 5e-2
-        with a fixed internal seed); ``None`` skips the check.
+        Largest distance of the samples' trapezoid mass from 1, checked at
+        construction (default 5e-2); ``None`` skips the check.  A negative
+        or non-finite sample raises either way.
     """
 
     def __init__(self, fn, lo, hi, integral_tol=5e-2):
@@ -242,12 +239,24 @@ class DensityFn:
         self.lo = lo
         self.hi = hi
         self._fn = fn
+        # the lower half's fractions of [lo, hi] are multiples of 2**-53, so the
+        # upper half's, 1 - s, are exact: on [0, 1] a density and its mirror
+        # image then give the same samples and the same table knots
+        s = np.round((0.5 - 0.5 * np.cos(np.linspace(0.0, np.pi / 2, 8193))) * 2.0**53) / 2.0**53
+        self.z = lo + (hi - lo) * np.concatenate([s, 1.0 - s[-2::-1]])
+        self.z[-1] = hi
+        fz = self.eval(self.z)
+        if not np.all(np.isfinite(fz)):
+            raise ValueError("density takes non-finite values")
+        if np.any(fz < -1e-12):
+            raise ValueError("density takes negative values")
+        self.fz = np.maximum(fz, 0.0)
         if integral_tol is not None:
-            est = self._mc_integral()
-            if abs(est - 1.0) > integral_tol:
+            mass = float(np.trapezoid(self.fz, self.z))
+            if abs(mass - 1.0) > integral_tol:
                 raise ValueError(
-                    f"density integral check failed: MC estimate {est:.4f} "
-                    f"differs from 1 by more than {integral_tol}"
+                    f"density integral check failed: the trapezoid mass {mass:.4f} of "
+                    f"its samples differs from 1 by more than {integral_tol}"
                 )
 
     @classmethod
@@ -258,12 +267,6 @@ class DensityFn:
         return np.asarray(self._fn(np.asarray(z, dtype=np.float64)), dtype=np.float64)
 
     __call__ = eval
-
-    def _mc_integral(self):
-        vals = self.eval(self.lo + _integral_check_draws() * (self.hi - self.lo))
-        if np.any(vals < -1e-12):
-            raise ValueError("density takes negative values")
-        return float(np.mean(vals) * (self.hi - self.lo))
 
 
 # ---------------------------------------------------------------------------
@@ -783,21 +786,58 @@ def _swap_axes_to_table(measures, thresholds, max_value):
     return TabulatedFn(zs, vs, "nonincreasing")
 
 
-def dr_from_density_1d(f, m_thresholds=16384, normalize=True):
-    """Decreasing rearrangement of a univariate density.
+def _rearranged_samples(z, fz):
+    """Knots and values of the exact DR of the linear interpolant of samples ``fz >= 0`` at ``z``.
 
-    Thresholds are placed geometrically between ``max f * (1 - 1e-6)`` and
-    ``max f * 1e-6``; the superlevel measure at each threshold is computed by
-    subdividing the support into sign-constant intervals of ``f - y`` at
-    32769 samples, and the (measure, threshold) pairs are swapped into a
-    tabulated nonincreasing pdf.
+    The interpolant's superlevel measure m(v) = |{f >= v}| is the layer-cake
+    sum of :func:`_layer_cake`, linear in v between consecutive distinct
+    sample values; so the DR has a knot (m(v), v) at each of them, and a
+    second knot (m(v+), v) where the pieces flat at v make m jump.  One
+    argsort ranks the values.  The pieces whose lower end has rank k or more
+    form a suffix, counted in full by one ``bincount`` and a suffix sum; a
+    piece adds its linear part at each rank strictly between its two ends,
+    one (rank, piece) pair at a time.  The interpolant is 0 beyond its
+    support, so a DR still positive at z = m(min f) steps down to 0 just
+    after it.
+    """
+    order = np.argsort(fz, kind="stable")
+    distinct = np.append(True, np.diff(fz[order]) > 0)
+    v = fz[order][distinct]
+    rank = np.empty(fz.size, dtype=np.intp)
+    rank[order] = np.cumsum(distinct) - 1
+    w = np.diff(z)
+    lo, hi = np.minimum(rank[:-1], rank[1:]), np.maximum(rank[:-1], rank[1:])
+    m = np.cumsum(np.bincount(lo, weights=w, minlength=v.size)[::-1])[::-1]
+    count = np.maximum(hi - lo - 1, 0)
+    piece = np.repeat(np.arange(w.size), count)
+    k = np.arange(piece.size) + np.repeat(lo + 1 - np.cumsum(count) + count, count)
+    top, bottom = v[hi[piece]], v[lo[piece]]
+    m += np.bincount(k, weights=w[piece] * ((top - v[k]) / (top - bottom)), minlength=v.size)
+    flat = lo == hi
+    runs = np.bincount(lo[flat], weights=w[flat], minlength=v.size)
+    r = np.flatnonzero(runs)
+    # from the top level down; m is 0 above the top level's flat pieces, so z starts at 0
+    zs = np.maximum.accumulate(np.insert(m, r + 1, m[r] - runs[r])[::-1])
+    vs = np.insert(v, r + 1, v[r])[::-1]
+    if v[0] > 0.0:
+        zs, vs = np.append(zs, _after(zs[-1])), np.append(vs, 0.0)
+    keep = np.append(True, np.diff(zs) > 0)
+    return zs[keep], vs[keep]
+
+
+def dr_from_density_1d(f, normalize=True):
+    """Decreasing rearrangement of a univariate density, exact for its samples.
+
+    Rearranges the piecewise-linear interpolant of the samples that ``f``
+    took at construction (see :class:`DensityFn`).  That DR is piecewise
+    linear with a knot at every distinct sample value, so the table is the
+    exact DR of the interpolant, built without threshold levels or an axis
+    swap (:func:`_rearranged_samples`); its trapezoid mass is the samples'.
 
     Parameters
     ----------
     f : DensityFn
         Univariate density on a finite interval.
-    m_thresholds : int
-        Number of thresholds (at least 8).
     normalize : bool
         Rescale the table to unit mass after the preservation check.
 
@@ -807,32 +847,20 @@ def dr_from_density_1d(f, m_thresholds=16384, normalize=True):
     """
     if not isinstance(f, DensityFn):
         raise TypeError("dr_from_density_1d expects a DensityFn")
-    m_thresholds = int(m_thresholds)
-    if m_thresholds < 8:
-        raise ValueError("insufficient resolution: m_thresholds must be >= 8")
-    z = np.linspace(f.lo, f.hi, 32769)
-    fz = f.eval(z)
-    if np.any(fz < -1e-12):
-        raise ValueError("density takes negative values")
-    fz = np.maximum(fz, 0.0)
-    maxf = float(fz.max())
-    if maxf <= 0:
+    z, fz = f.z, f.fz
+    if float(fz.max()) <= 0:
         raise ValueError("density is identically zero on its support")
-    thresholds = np.geomspace(maxf * (1.0 - 1e-6), maxf * 1e-6, m_thresholds)
-    measures = _superlevel_measures(z, fz, thresholds)
-    measures = np.maximum.accumulate(measures)
-    table = _swap_axes_to_table(measures, thresholds, maxf)
+    zs, vs = _rearranged_samples(z, fz)
 
     ref_mass = float(np.trapezoid(fz, z))
-    mass = float(np.trapezoid(table.values, table.grid))
+    mass = float(np.trapezoid(vs, zs))
     if abs(mass - ref_mass) > 1e-4:
         raise ValueError(
             f"rearrangement does not preserve mass: {mass:.6g} vs {ref_mass:.6g}"
         )
     if normalize:
-        table = TabulatedFn(table.grid, table.values / mass, "nonincreasing")
-        return DrPdf(table=table)
-    return DrPdf(table=table, mass_tol=None)
+        return DrPdf(table=TabulatedFn(zs, vs / mass, "nonincreasing"))
+    return DrPdf(table=TabulatedFn(zs, vs, "nonincreasing"), mass_tol=None)
 
 
 def cdf_of_dr(f):

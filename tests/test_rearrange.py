@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 from drmaj.algebra import inverse_mix
+from drmaj.entropy import entropy_dr
 from drmaj.families import dr_beta32, dr_exp_iid
 from drmaj.order import compare_cdfs
 from drmaj.rearrange import (
@@ -543,3 +544,95 @@ def test_mirrored_betas_rearrange_alike(a, b):
         for p, q in ((a, b), (b, a))
     ]
     assert compare_cdfs(*F).max_gap <= 1e-14
+
+
+def _normal_pdf(x):
+    return np.exp(-0.5 * np.asarray(x) ** 2) / np.sqrt(2.0 * np.pi)
+
+
+def _bimodal_pdf(x):
+    return 0.3 * _normal_pdf((x + 2.0) / 0.5) / 0.5 + 0.7 * _normal_pdf(x - 1.5)
+
+
+#: densities without flat runs: every knot is (m(v), v) at a sample value v
+_SMOOTH = {
+    "normal": (_normal_pdf, -8.0, 8.0),
+    "beta": (_beta_pdf(2.3, 3.1), 0.0, 1.0),
+    "bimodal": (_bimodal_pdf, -6.0, 6.0),
+}
+
+
+def _trapezoid_pdf(x):
+    # rises to 1/2 on [0, 1], flat on [1, 2], falls to 0 at 3, 0 on [3, 4]
+    x = np.asarray(x, dtype=np.float64)
+    return np.clip(0.5 * np.minimum(x, 3.0 - x), 0.0, 0.5)
+
+
+def test_density_is_sampled_once_at_cosine_points():
+    calls = []
+
+    def pdf(x):
+        calls.append(x.size)
+        return _normal_pdf(x)
+
+    f = DensityFn.from_univariate(pdf, -8.0, 8.0)
+    j = np.arange(16385)
+    assert f.z[0] == -8.0 and f.z[-1] == 8.0 and np.all(np.diff(f.z) > 0)
+    assert np.allclose(f.z, -8.0 + 8.0 * (1.0 - np.cos(np.pi * j / 16384)), rtol=0, atol=1e-14)
+    assert np.array_equal(f.fz, _normal_pdf(f.z))
+    dr_from_density_1d(f)
+    assert calls == [16385]
+    # on [0, 1] the points are their own mirror image to the last bit
+    g = DensityFn.from_univariate(_beta_pdf(2.3, 3.1), 0.0, 1.0)
+    assert np.array_equal(1.0 - g.z[::-1], g.z)
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityFn.from_univariate(lambda x: np.where(x > 0.0, 0.5, np.inf), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("name", sorted(_SMOOTH))
+def test_dr_knots_are_the_layer_cake_of_the_samples(name):
+    pdf, lo, hi = _SMOOTH[name]
+    f = DensityFn.from_univariate(pdf, lo, hi)
+    t = dr_from_density_1d(f, normalize=False).table
+    w = np.diff(f.z)
+    low = np.minimum(f.fz[:-1], f.fz[1:])
+    high = np.maximum(f.fz[:-1], f.fz[1:])
+    assert np.max(np.abs(t.grid - _layer_cake(w, low, high)(t.values))) <= 1e-12 * (hi - lo)
+
+
+def test_normal_rearranges_to_its_dilation():
+    # N(0, 1) is symmetric, so its DR is phi(z / 2)
+    dr = dr_from_density_1d(DensityFn.from_univariate(_normal_pdf, -8.0, 8.0))
+    z = np.linspace(0.0, 16.0, 160001)
+    assert np.max(np.abs(dr(z) - _normal_pdf(z / 2.0))) <= 5e-7
+
+
+@pytest.mark.parametrize("name", [*sorted(_SMOOTH), "trapezoid"])
+def test_rearranged_table_keeps_the_samples_mass(name):
+    pdf, lo, hi = _SMOOTH.get(name, (_trapezoid_pdf, 0.0, 4.0))
+    f = DensityFn.from_univariate(pdf, lo, hi)
+    t = dr_from_density_1d(f, normalize=False).table
+    assert abs(np.trapezoid(t.values, t.grid) - np.trapezoid(f.fz, f.z)) <= 1e-12
+
+
+def test_flat_runs_rearrange_to_flat_runs():
+    # the DR is 1/2 on [0, 1], falls linearly to 0 at z = 3, and is 0 after
+    dr = dr_from_density_1d(DensityFn.from_univariate(_trapezoid_pdf, 0.0, 4.0), normalize=False)
+    assert dr.table.values[0] == dr.table.values[1] == 0.5
+    assert abs(dr.table.grid[-1] - 4.0) <= 1e-12 and dr.table.values[-2] == 0.0
+    z = np.linspace(0.0, 4.0, 4001)
+    exact = np.clip(0.5 - 0.25 * (z - 1.0), 0.0, 0.5)
+    assert np.max(np.abs(dr(z) - exact)) <= 1e-4
+
+
+def test_truncated_normal_steps_to_zero_at_its_support_end():
+    # N(0, 1) on [-2, 2] is positive at both ends, so its DR drops to 0 at z = 4
+    mass = special.ndtr(2.0) - special.ndtr(-2.0)
+    dr = dr_from_density_1d(
+        DensityFn.from_univariate(lambda x: _normal_pdf(x) / mass, -2.0, 2.0)
+    )
+    assert dr.table.values[-1] == 0.0 and dr.table.grid[-1] <= 4.0 + 2e-12
+    assert dr(4.0 + 1e-9) == 0.0
+    assert dr(4.0 - 1e-9) == pytest.approx(_normal_pdf(2.0) / mass, rel=1e-6)
+    exact = np.log(np.sqrt(2.0 * np.pi * np.e) * mass) - 2.0 * _normal_pdf(2.0) / mass
+    assert abs(entropy_dr(dr) - exact) <= 1e-7
