@@ -45,6 +45,10 @@ def beta_density():
     return rearrange.DensityFn(
         lambda x: x ** (a - 1.0) * (1.0 - x) ** (b - 1.0) / beta_fn(a, b), 0.0, 1.0)
 
+def beta_levels():
+    f = beta_density()
+    return f, np.geomspace(1e-6, 0.999, 512) * f.fz.max()
+
 def swap_inputs():
     # the measures and value grid that inverse_mix(exp1, exp2) hands to the swap
     m = algebra.inverse_mix(pdf("exp:n=1"), pdf("exp:n=2")).measure
@@ -72,6 +76,9 @@ ROWS = {
     "direct_mix(exp1, exp2)": (lambda: (pdf("exp:n=1"), pdf("exp:n=2")), algebra.direct_mix),
     "otimes(exp1, exp2)": (lambda: (cdf("exp:n=1"), cdf("exp:n=2")), algebra.otimes),
     "dr_from_density_1d(Beta(2.3, 3.1))": (lambda: (beta_density(),), rearrange.dr_from_density_1d),
+    "measure_function(Beta(2.3, 3.1)), 512 levels": (beta_levels, rearrange.measure_function),
+    "contractive_ordering_check(Beta(2.3, 3.1), x ↦ 0.7x)":
+        (lambda: (beta_density(), lambda x: 0.7 * x), order.contractive_ordering_check),
     "_swap_axes_to_table, value grid of inverse_mix(exp1, exp2)":
         (swap_inputs, rearrange._swap_axes_to_table),
     "_concave_flag, 20001 knots": (concave_inputs, rearrange._concave_flag),

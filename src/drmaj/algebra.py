@@ -509,7 +509,10 @@ def _leaf(text):
     if spec is not None:
         return ExprResult(cdf=dr_family(spec)[1], label=spec.label())
     if os.path.exists(text):
-        table = load_tabulated(text)
+        try:
+            table = load_tabulated(text)
+        except (OSError, ValueError) as exc:
+            raise ExprError(f"{text}: {exc}") from exc
         if table.monotone == "nonincreasing":
             return ExprResult(cdf=cdf_of_dr(DrPdf(table=table, mass_tol=1e-3)), label=text)
         cdf = DrCdf(table=table, require_concave=False)

@@ -15,7 +15,6 @@ serialisation for tabulated functions.
 """
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -48,10 +47,18 @@ MONOTONE_TOL = 1e-12
 
 
 def _asarray1d(x, name="array"):
-    a = np.asarray(x, dtype=np.float64)
+    try:
+        a = np.asarray(x, dtype=np.float64)
+    except TypeError:
+        raise ValueError(f"{name} must be numeric") from None
     if a.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
     return a
+
+
+def _check_tol(tol, name="tol"):
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {tol!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +158,8 @@ class TabulatedFn:
 
     @classmethod
     def from_json_dict(cls, d):
+        if not (isinstance(d, dict) and "grid" in d and "values" in d):
+            raise ValueError("expected a JSON object with 'grid' and 'values'")
         return cls(d["grid"], d["values"], d.get("monotone", "none"))
 
     def to_json(self, path):
@@ -174,22 +183,31 @@ class TabulatedFn:
     @classmethod
     def from_csv(cls, path):
         monotone = "none"
+        header = None
+        grid, values = [], []
         with open(path, newline="") as fh:
-            text = fh.read()
-        lines = []
-        for line in io.StringIO(text):
-            if line.startswith("#"):
-                if "monotone:" in line:
-                    monotone = line.split("monotone:")[1].strip()
-                continue
-            lines.append(line)
-        reader = csv.reader(io.StringIO("".join(lines)))
-        header = next(reader)
-        if [h.strip() for h in header] != ["z", "value"]:
+            for lineno, line in enumerate(fh, start=1):
+                if line.startswith("#"):
+                    if "monotone:" in line:
+                        monotone = line.split("monotone:")[1].strip()
+                    continue
+                row = next(csv.reader([line]), [])
+                if not row:
+                    continue
+                if header is None:
+                    header = [h.strip() for h in row]
+                    if header != ["z", "value"]:
+                        raise ValueError("expected 'z,value' header")
+                    continue
+                try:
+                    z, v = map(float, row)
+                except ValueError:
+                    msg = f"line {lineno}: expected two numbers, got {line.strip()!r}"
+                    raise ValueError(msg) from None
+                grid.append(z)
+                values.append(v)
+        if header is None:
             raise ValueError("expected 'z,value' header")
-        rows = [(float(r[0]), float(r[1])) for r in reader if r]
-        grid = [r[0] for r in rows]
-        values = [r[1] for r in rows]
         return cls(grid, values, monotone)
 
 
@@ -215,8 +233,9 @@ class DensityFn:
     points ``z_j = lo + (hi - lo)(1 - cos(pi j / 16384)) / 2``, which
     cluster at the ends of the interval, where a density may rise with an
     infinite slope.  ``z`` and ``fz`` keep the points and the samples;
-    :func:`dr_from_density_1d` rearranges these samples and evaluates
-    nothing more.
+    :func:`dr_from_density_1d`, :func:`measure_function` and
+    :func:`~drmaj.order.contractive_ordering_check` read these samples and
+    evaluate nothing more.
 
     Parameters
     ----------
@@ -236,6 +255,8 @@ class DensityFn:
             raise ValueError("unbounded support requires explicit truncation")
         if hi <= lo:
             raise ValueError("support bounds must satisfy lo < hi")
+        if integral_tol is not None:
+            _check_tol(integral_tol, "integral_tol")
         self.lo = lo
         self.hi = hi
         self._fn = fn
@@ -373,20 +394,14 @@ def _layer_cake(w, lo, hi):
     return at
 
 
-def _superlevel_measures(z, fz, thresholds):
-    """Measures of ``{f >= y}`` for the piecewise-linear interpolant of samples.
-
-    ``z`` are strictly increasing sample abscissae, ``fz`` the sampled values
-    and ``thresholds`` a 1-d array of levels in any order; each sample cell
-    is one piece of :func:`_layer_cake`.
-    """
-    lo = np.minimum(fz[:-1], fz[1:])
-    hi = np.maximum(fz[:-1], fz[1:])
-    return _layer_cake(np.diff(z), lo, hi)(np.asarray(thresholds, dtype=np.float64))
-
-
-def measure_function(f, thresholds, n_samples=32769):
+def measure_function(f, thresholds):
     """Compute the measure function of a univariate density.
+
+    Measures the superlevel sets of the piecewise-linear interpolant of the
+    samples that ``f`` took at construction (see :class:`DensityFn`), each
+    sample cell one piece of :func:`_layer_cake`; the density is not
+    evaluated again, and the measures are those that
+    :func:`dr_from_density_1d` rearranges.
 
     Parameters
     ----------
@@ -394,8 +409,6 @@ def measure_function(f, thresholds, n_samples=32769):
         Univariate density with finite support.
     thresholds : Grid or array_like
         Positive threshold levels; stored in decreasing order.
-    n_samples : int
-        Resolution of the sign-constant interval subdivision of the support.
 
     Returns
     -------
@@ -406,15 +419,12 @@ def measure_function(f, thresholds, n_samples=32769):
     pts = thresholds.points if isinstance(thresholds, Grid) else _asarray1d(thresholds)
     if not np.all(np.isfinite(pts)):
         raise ValueError("thresholds must be finite")
-    z = np.linspace(f.lo, f.hi, int(n_samples))
-    fz = f.eval(z)
-    maxf = float(fz.max())
-    if np.any(pts <= 0):
-        raise ValueError("thresholds must lie in (0, max f]")
-    if np.any(pts > maxf * (1 + 1e-9)):
+    fz = f.fz
+    if np.any(pts <= 0) or np.any(pts > float(fz.max()) * (1 + 1e-9)):
         raise ValueError("thresholds must lie in (0, max f]")
     desc = np.sort(pts)[::-1]
-    m = _superlevel_measures(z, fz, desc)
+    lo, hi = np.minimum(fz[:-1], fz[1:]), np.maximum(fz[:-1], fz[1:])
+    m = _layer_cake(np.diff(f.z), lo, hi)(desc)
     m = np.maximum.accumulate(m)  # guard fp wobble; mathematically nondecreasing
     return MeasureFn(desc, m)
 
@@ -516,6 +526,8 @@ class DrPdf:
     ):
         if (table is None) == (fn is None):
             raise ValueError("provide exactly one of table or fn")
+        if mass_tol is not None:
+            _check_tol(mass_tol, "mass_tol")
         if table is not None:
             if table.monotone != "nonincreasing":
                 table = TabulatedFn(table.grid, table.values, "nonincreasing")
@@ -847,7 +859,15 @@ def dr_from_density_1d(f, normalize=True):
     """
     if not isinstance(f, DensityFn):
         raise TypeError("dr_from_density_1d expects a DensityFn")
-    z, fz = f.z, f.fz
+    return _dr_of_samples(f.z, f.fz, normalize)
+
+
+def _dr_of_samples(z, fz, normalize=True):
+    """DR pdf of the linear interpolant of samples ``fz >= 0`` at strictly increasing ``z``.
+
+    The table of :func:`_rearranged_samples`, checked to keep the samples'
+    trapezoid mass and, with ``normalize``, rescaled to unit mass.
+    """
     if float(fz.max()) <= 0:
         raise ValueError("density is identically zero on its support")
     zs, vs = _rearranged_samples(z, fz)

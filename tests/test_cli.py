@@ -187,6 +187,37 @@ def test_entropy_missing_table_file(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+_TABLE_FILES = [
+    ("one_value.csv", "z,value\n0,1\n2\n", 2, "line 3: expected two numbers"),
+    # a third column is an error, not dropped: without it the table is valid
+    ("three_columns.csv", "# monotone: nonincreasing\nz,value\n0,1,9\n1,1\n", 2,
+     "line 3: expected two numbers"),
+    ("text_entry.csv", "z,value\n0,abc\n1,0\n", 2, "line 2: expected two numbers"),
+    ("empty.csv", "", 2, "expected 'z,value' header"),
+    ("no_values.json", '{"grid": [0, 1]}', 2, "with 'grid' and 'values'"),
+    ("list.json", "[0, 1]", 2, "with 'grid' and 'values'"),
+    ("object_entries.json", '{"grid": [0, {}], "values": [1, 1]}', 2, "must be numeric"),
+    # a well-formed table that is not a DR pdf is a numerical failure
+    ("mass_five.csv", "# monotone: nonincreasing\nz,value\n0,5\n1,5\n", 3,
+     "tabulated DR pdf mass"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, text, code, message", _TABLE_FILES, ids=[c[0] for c in _TABLE_FILES]
+)
+def test_malformed_table_file_names_the_file(tmp_path, capsys, name, text, code, message):
+    path = tmp_path / name
+    path.write_text(text)
+    for argv in (("entropy", str(path)), ("expr", str(path), "--out", str(tmp_path)),
+                 ("compare", "exp:n=1", str(path))):
+        rc, _, err = run(capsys, *argv)
+        assert rc == code, (argv, err)
+        assert err.startswith("error:") and message in err
+        if code == 2:
+            assert f"{path}: " in err
+
+
 def _write_points(path, seed=10, m=60):
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((m, 2))

@@ -558,6 +558,46 @@ def test_contraction_rejects_expansion():
         contractive_ordering_check(triangle(), lambda x: np.zeros_like(x))
 
 
+def _two_bumps(x):
+    x = np.asarray(x, dtype=np.float64)
+    left = 0.7 * np.exp(-0.5 * ((x + 1.0) / 0.5) ** 2) / (0.5 * np.sqrt(2.0 * np.pi))
+    return left + 0.3 * np.exp(-0.5 * ((x - 1.5) / 0.3) ** 2) / (0.3 * np.sqrt(2.0 * np.pi))
+
+
+def test_contraction_reads_the_density_samples_only():
+    calls = []
+
+    def pdf(x):
+        calls.append(x.size)
+        return _two_bumps(x)
+
+    f = DensityFn.from_univariate(pdf, -6.0, 6.0)
+    assert contractive_ordering_check(f, lambda x: 0.7 * x) is OrderVerdict.PRECEDES
+    assert calls == [16385]
+
+
+@pytest.mark.parametrize("slope", [1.0, -1.0], ids=["shift", "reflection"])
+def test_rigid_motion_gives_equal_cdfs(slope):
+    # the pushforward samples are the density's own, so the cdfs agree to rounding
+    f = DensityFn.from_univariate(_two_bumps, -6.0, 6.0)
+    h = ContractiveMap1D(lambda x: slope * x + 1.7, lambda x: np.full_like(x, slope))
+    assert contractive_ordering_check(f, h, tol=1e-12) is OrderVerdict.EQUAL
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        ContractiveMap1D(lambda x: 0.5 * x, lambda x: np.where(x > 0.5, np.nan, 0.5)),
+        ContractiveMap1D(lambda x: np.where(x > 0.5, np.nan, 0.5 * x)),
+        ContractiveMap1D(lambda x: np.where(x > 0.5, np.inf, 0.5 * x), lambda x: 0.5 + 0.0 * x),
+    ],
+    ids=["nan_derivative", "nan_map", "infinite_map"],
+)
+def test_contraction_rejects_non_finite_maps(h):
+    with pytest.raises(ValueError, match="non-finite"):
+        contractive_ordering_check(triangle(), h)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=2, max_size=10))
 def test_self_comparison_is_equal(raw):

@@ -288,13 +288,21 @@ def test_measure_function_of_truncated_exponential():
     # on [0, 40] the truncation deficit is ~4e-18, so m(v) = -log v
     f = DensityFn.from_univariate(lambda x: np.exp(-x), 0.0, 40.0)
     v = np.geomspace(0.9, 1e-3, 25)
-    m = measure_function(f, v, n_samples=2**17 + 1)
+    m = measure_function(f, v)
     assert np.max(np.abs(m(v) - (-np.log(v)))) <= 1e-3
 
 
 def test_measure_function_rejects_non_finite_thresholds():
     with pytest.raises(ValueError, match="thresholds must be finite"):
         measure_function(triangle_density(), [0.5, np.nan])
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+def test_mass_tolerances_must_be_finite_and_nonnegative(tol):
+    with pytest.raises(ValueError, match="integral_tol must be finite and nonnegative"):
+        DensityFn(lambda x: 3.0 + 0.0 * x, 0.0, 1.0, integral_tol=tol)
+    with pytest.raises(ValueError, match="mass_tol must be finite and nonnegative"):
+        DrPdf(table=TabulatedFn([0.0, 1.0], [5.0, 5.0]), mass_tol=tol)
 
 
 def test_pdf_of_cdf_recovers_slopes():
@@ -598,6 +606,23 @@ def test_dr_knots_are_the_layer_cake_of_the_samples(name):
     low = np.minimum(f.fz[:-1], f.fz[1:])
     high = np.maximum(f.fz[:-1], f.fz[1:])
     assert np.max(np.abs(t.grid - _layer_cake(w, low, high)(t.values))) <= 1e-12 * (hi - lo)
+
+
+def test_measure_function_is_the_layer_cake_of_the_samples():
+    calls = []
+
+    def pdf(x):
+        calls.append(x.size)
+        return _beta_pdf(2.3, 3.1)(x)
+
+    f = DensityFn.from_univariate(pdf, 0.0, 1.0)
+    levels = np.linspace(1e-3, f.fz.max(), 200)
+    m = measure_function(f, levels)
+    assert calls == [16385]
+    low = np.minimum(f.fz[:-1], f.fz[1:])
+    high = np.maximum(f.fz[:-1], f.fz[1:])
+    expected = _layer_cake(np.diff(f.z), low, high)(m.thresholds)
+    assert np.max(np.abs(m.measures - expected)) <= 1e-12
 
 
 def test_normal_rearranges_to_its_dilation():
