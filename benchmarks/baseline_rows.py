@@ -59,6 +59,11 @@ def concave_inputs():
     z = np.linspace(0.0, 10.0, 20001)
     return z, -np.expm1(-z)
 
+def mix_cdf_knots():
+    # 17408 knots; 224 gaps are below 1e-10, where a slope is mostly rounding noise
+    table = algebra.eval_expr("mix(exp:n=1, exp:n=2)").cdf.table
+    return table.grid, table.values
+
 def blur_pair():
     rng = np.random.default_rng(114)
     table = rng.gamma(0.5, size=(14, 14))
@@ -82,6 +87,7 @@ ROWS = {
     "_swap_axes_to_table, value grid of inverse_mix(exp1, exp2)":
         (swap_inputs, rearrange._swap_axes_to_table),
     "_concave_flag, 20001 knots": (concave_inputs, rearrange._concave_flag),
+    "_concave_flag, cdf of mix(exp:n=1, exp:n=2)": (mix_cdf_knots, rearrange._concave_flag),
     "cdf_of_dr, tabulated, 16385 knots":
         (lambda: (rearrange.DrPdf(table=pdf("exp:n=1").tabulated(16385)),), rearrange.cdf_of_dr),
     "compare_cdfs(exp2, exp1)": (lambda: (cdf("exp:n=2"), cdf("exp:n=1")), order.compare_cdfs),

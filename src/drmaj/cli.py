@@ -245,12 +245,26 @@ def cmd_empirical(args):
     return EXIT_OK
 
 
+def _grid_points(text):
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {n}")
+    return n
+
+
+def _tsallis_gamma(text):
+    try:
+        return EntropyKind.tsallis(text).gamma
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=".", help="output directory (default .)")
     common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     common.add_argument(
-        "--grid", type=int, default=4096, help="table resolution (default 4096)"
+        "--grid", type=_grid_points, default=4096, help="table resolution (default 4096)"
     )
     common.add_argument(
         "--json", action="store_true", help="write tables as JSON instead of CSV"
@@ -296,7 +310,7 @@ def _build_parser():
 
     p = sub.add_parser("entropy", parents=[common], help="moments and entropies")
     p.add_argument("input", help="family spec, expression, or table file")
-    p.add_argument("--gamma", type=float, default=1.0, help="Tsallis gamma")
+    p.add_argument("--gamma", type=_tsallis_gamma, default=1.0, help="Tsallis gamma")
     p.set_defaults(func=cmd_entropy)
 
     return parser

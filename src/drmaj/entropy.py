@@ -46,7 +46,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EntropyKind:
-    """Entropy gauge: ``shannon`` or ``tsallis`` with parameter gamma > 0.
+    """Entropy gauge: ``shannon`` or ``tsallis`` with a finite parameter gamma > 0.
 
     Shannon sums ``-p log p`` with ``0 log 0 = 0``; Tsallis sums
     ``(p / gamma) (1 - p**gamma)``, which tends to the Shannon gauge as
@@ -60,8 +60,8 @@ class EntropyKind:
         if self.kind not in ("shannon", "tsallis"):
             raise ValueError(f"unknown entropy kind {self.kind!r}")
         if self.kind == "tsallis":
-            if self.gamma is None or not float(self.gamma) > 0.0:
-                raise ValueError("tsallis entropy needs gamma > 0")
+            if self.gamma is None or not 0.0 < float(self.gamma) < math.inf:
+                raise ValueError("tsallis entropy needs a finite gamma > 0")
             object.__setattr__(self, "gamma", float(self.gamma))
         elif self.gamma is not None:
             raise ValueError("gamma applies to tsallis only")

@@ -61,18 +61,18 @@ class FamilySpec:
             var = float(params.get("var", 1.0))
             if n < 1:
                 raise ValueError("mvn dimension must be >= 1")
-            if var <= 0:
-                raise ValueError("mvn variance must be positive")
+            if not (math.isfinite(var) and var > 0):
+                raise ValueError("mvn variance must be finite and positive")
             self.params = {"n": n, "var": var}
         elif kind == "exp_iid":
             n = int(params.get("n", 1))
-            if n < 1:
-                raise ValueError("exp dimension must be >= 1")
+            if not 1 <= n <= 170:  # n! must be a finite double
+                raise ValueError("exp dimension must be between 1 and 170")
             self.params = {"n": n}
         elif kind == "exp_rate":
             theta = float(params.get("theta", 1.0))
-            if theta <= 0:
-                raise ValueError("exponential rate must be positive")
+            if not (math.isfinite(theta) and theta > 0):
+                raise ValueError("exponential rate must be finite and positive")
             self.params = {"theta": theta}
         elif kind == "beta32":
             if params:

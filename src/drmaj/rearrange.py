@@ -445,59 +445,22 @@ def _probe_grid(z_hi, n=2049):
     return np.linspace(0.0, z_hi, n)
 
 
-def _thin_knots(z):
-    """Mask of the knots kept, greedily, more than 1e-7 of the span apart.
-
-    Starting from the first knot, the next kept knot is the first one lying
-    more than that beyond the last kept knot; the final knot then replaces
-    the last kept one.
-    """
-    n = z.size
-    thr = max(float(z[-1] - z[0]), 1e-300) * 1e-7
-    keep = np.empty(n, dtype=bool)
-    keep[0] = True
-    # a knot that far from its predecessor is that far from any kept knot
-    keep[1:] = np.diff(z) > thr
-    near = np.flatnonzero(~keep)
-    if near.size:
-        # the others form clusters, each after a kept anchor, and the kept
-        # knots of a cluster are its anchor a, nxt[a], nxt[nxt[a]], ...
-        # where nxt[i] is the first knot j after i with z[j] - z[i] > thr
-        src = np.union1d(near - 1, near)
-        nxt = np.searchsorted(z, z[src] + thr, side="right")
-        # a knot equal to the rounded z[i] + thr can still pass the test;
-        # for knots the walk reaches (0, or above thr) it is the only miss
-        nxt -= (nxt - 1 > src) & (z[nxt - 1] - z[src] > thr)
-        # walk all clusters by pointer doubling, in about log2 of the
-        # longest walk passes; a step out of the cluster ends its walk
-        m = src.size
-        inside = (nxt < n) & ~keep[np.minimum(nxt, n - 1)]
-        jump = np.append(np.where(inside, np.searchsorted(src, nxt), m), m)
-        kept = np.flatnonzero(keep[src])
-        while True:
-            more = jump[kept]
-            more = more[more < m]
-            if not more.size:
-                break
-            kept = np.concatenate([kept, more])
-            jump = jump[jump]
-        keep[src[kept]] = True
-    if not keep[-1]:
-        keep[np.flatnonzero(keep)[-1]] = False
-        keep[-1] = True
-    return keep
-
-
 def _concave_flag(z, v):
-    # slope differences across near-duplicate knots are pure fp noise, so
-    # coarsen to gaps of at least 1e-7 of the span before testing
-    keep = _thin_knots(z)
-    zz = z[keep]
-    vv = v[keep]
-    if zz.size < 3:
+    """Whether the piecewise-linear (z, v) has nonincreasing slopes, within a bound.
+
+    Each slope step is cross-multiplied by its two gaps a and b, so a pair
+    of near-duplicate knots weighs in by its width, not by its rounding
+    noise: (v[k+1] - v[k]) a - (v[k] - v[k-1]) b may exceed 0 by the slope
+    slack 1e-9 max(largest slope, 1) a b plus the rounding of the values,
+    8 eps max|v| (a + b).
+    """
+    if z.size < 3:
         return True
-    slopes = np.diff(vv) / np.diff(zz)
-    return bool(np.all(np.diff(slopes) <= 1e-9 * max(slopes.max(), 1.0)))
+    dz, dv = np.diff(z), np.diff(v)
+    a, b = dz[:-1], dz[1:]
+    slack = 1e-9 * max(float(np.max(dv / dz)), 1.0)
+    noise = 8.0 * np.finfo(np.float64).eps * float(np.max(np.abs(v)))
+    return bool(np.all(dv[1:] * a - dv[:-1] * b <= slack * a * b + noise * (a + b)))
 
 
 class DrPdf:
@@ -613,7 +576,9 @@ class DrCdf:
     """Integral of a DR pdf: a nondecreasing cdf with ``F(0) = 0`` and sup 1.
 
     ``concave`` reports whether the tabulated or probed slopes are
-    nonincreasing; construction enforces it only when ``require_concave``.
+    nonincreasing within the bound of :func:`_concave_flag` (a slope slack
+    of 1e-9 max(largest slope, 1), plus the rounding of the values);
+    construction enforces it only when ``require_concave``.
     Lattice joins of crossing cdfs are the one legitimate source of
     non-concave instances.
     """
@@ -916,11 +881,11 @@ def pdf_of_cdf(F):
     """
     if not isinstance(F, DrCdf):
         raise TypeError("pdf_of_cdf expects a DrCdf")
+    if not F.concave:
+        raise ValueError("cdf is not concave; its derivative is not a DR pdf")
     table = F.table if F.table is not None else F.tabulated(4097)
     g = table.grid
     v = table.values
-    if not _concave_flag(g, v):
-        raise ValueError("cdf is not concave; its derivative is not a DR pdf")
     slopes = np.minimum.accumulate(np.maximum(np.diff(v) / np.diff(g), 0.0))
     # each inner knot g becomes g (left slope) and _after(g) (right slope);
     # a knot not beyond its predecessor moves to just after it

@@ -354,6 +354,24 @@ def test_empirical_missing_file(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("family", "exp:n=1", "--grid", "1"), "--grid: must be at least 2"),
+        (("family", "exp:n=1", "--grid", "-3"), "--grid: must be at least 2"),
+        (("entropy", "exp:n=1", "--gamma", "nan"), "--gamma: tsallis entropy needs a finite"),
+        (("entropy", "exp:n=1", "--gamma", "0"), "--gamma: tsallis entropy needs a finite"),
+        (("entropy", "exp:n=1", "--gamma", "inf"), "--gamma: tsallis entropy needs a finite"),
+    ],
+    ids=["grid_1", "grid_negative", "gamma_nan", "gamma_0", "gamma_inf"],
+)
+def test_numeric_options_outside_their_domain_are_usage_errors(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -31,7 +31,7 @@ def test_entropy_kind_parsing():
     assert k.gamma == 0.5
     assert k.label() == "tsallis:0.5"
     assert EntropyKind.tsallis(2).gamma == 2.0
-    for bad in ("renyi", "tsallis", "tsallis:x", "tsallis:-1", "shannon:2"):
+    for bad in ("renyi", "tsallis", "tsallis:x", "tsallis:-1", "shannon:2", "tsallis:inf"):
         with pytest.raises(ValueError):
             EntropyKind.parse(bad)
     with pytest.raises(ValueError, match="gamma applies to tsallis"):

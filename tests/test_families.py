@@ -124,6 +124,11 @@ def test_parse_family_accepts_and_labels():
         "exprate:theta=0",
         "beta32:n=1",
         "mvn:novalue",
+        "mvn:n=1,var=nan",
+        "mvn:n=1,var=inf",
+        "exprate:theta=inf",
+        "exprate:theta=nan",
+        "exp:n=171",
     ],
 )
 def test_parse_family_rejects(bad):

@@ -5,9 +5,10 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import special
+from scipy.integrate import cumulative_trapezoid
 
 from drmaj.algebra import inverse_mix
 from drmaj.entropy import entropy_dr
@@ -29,8 +30,8 @@ from drmaj.rearrange import (
     measure_function,
     pdf_of_cdf,
     _layer_cake,
+    _concave_flag,
     _swap_axes_to_table,
-    _thin_knots,
 )
 
 
@@ -382,17 +383,6 @@ def _loop_swap(measures, thresholds, max_value):
     return zs, np.minimum.accumulate(np.asarray(vs))
 
 
-def _loop_thin_knots(z):
-    span = max(float(z[-1] - z[0]), 1e-300)
-    kept = [0]
-    for i in range(1, z.size):
-        if z[i] - z[kept[-1]] > span * 1e-7:
-            kept.append(i)
-    if kept[-1] != z.size - 1:
-        kept[-1] = z.size - 1
-    return np.asarray(kept)
-
-
 def _loop_pdf_of_cdf(F):
     g = F.table.grid
     slopes = np.minimum.accumulate(np.maximum(np.diff(F.table.values) / np.diff(g), 0.0))
@@ -438,33 +428,27 @@ def test_swap_matches_loop(steps, start):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.lists(
-        st.tuples(
-            st.floats(min_value=1e-3, max_value=1.0),
-            st.lists(st.sampled_from([1e-12, 1e-9, 3e-8, 6e-8, 1e-7, 2e-7]), max_size=4),
-        ),
-        min_size=1,
-        max_size=40,
-    ),
-    st.sampled_from([1e-3, 1.0, 1e5]),
+    st.lists(_STEPS, min_size=1, max_size=80),
+    st.sampled_from([0.0, 0.7, 3e4]),
 )
-def test_thin_knots_matches_loop(clusters, scale):
-    # each cluster: a knot, then up to four near duplicates of it
-    z = [0.0]
-    for gap, near in clusters:
-        z.append(z[-1] + gap)
-        z.extend(z[-1] + np.cumsum(near))
-    z = np.unique(np.asarray(z) * scale)
-    assert np.array_equal(np.flatnonzero(_thin_knots(z)), _loop_thin_knots(z))
-
-
-def test_thin_knots_keeps_a_knot_at_the_rounded_threshold():
-    # span 1, so the threshold is 1e-7; the fourth knot equals the rounded
-    # 0.3 + 1e-7, yet its distance from 0.3 exceeds 1e-7
-    z = np.array([0.0, 0.3, 0.30000005, 0.3 + 1e-7, 1.0])
-    assert z[3] - z[1] > 1e-7
-    assert np.array_equal(np.flatnonzero(_thin_knots(z)), _loop_thin_knots(z))
-    assert np.array_equal(_loop_thin_knots(z), [0, 1, 3, 4])
+def test_concave_flag_reads_knot_gap_pairs_by_width(steps, start):
+    # trapezoid cdfs of swapped step measures: knots KNOT_GAP (or, at 3e4,
+    # one ulp) apart carry slopes that are pure rounding noise
+    measures = start + np.cumsum(steps)
+    assume(measures[-1] > 0.0)  # else the table is the one knot z = 0
+    table = _swap_axes_to_table(measures, np.geomspace(1.0, 1e-2, measures.size), 1.0)
+    z = table.grid
+    v = cumulative_trapezoid(table.values, z, initial=0.0)
+    assert _concave_flag(z, v)
+    # a slope raised 1e-6 above its predecessor (slopes stay above 1e-2, so
+    # by more than the 1e-9 slope slack), at a knot whose gaps are wide
+    # enough (1e-4, and 5e-6 of z) that the kink outgrows the values' rounding
+    dz = np.diff(z)
+    wide = np.maximum(1e-4, 5e-6 * z[1:-1])
+    for k in np.flatnonzero((dz[:-1] >= wide) & (dz[1:] >= wide)) + 1:
+        kinked = v.copy()
+        kinked[k + 1:] += (v[k] - v[k - 1]) / dz[k - 1] * (1.0 + 1e-6) * dz[k] - (v[k + 1] - v[k])
+        assert not _concave_flag(z, kinked)
 
 
 @settings(max_examples=150, deadline=None)
