@@ -3,10 +3,10 @@
     python3 benchmarks/baseline_rows.py CHECKOUT                # one checkout
     python3 benchmarks/baseline_rows.py PARENT_DIR CHANGE_DIR   # alternated
 
-Every row of the table except the tier-1 suite and the 2000 x 100k KDE row
-(which takes seconds a call): each row runs in a fresh ``python3``, with one
-BLAS thread and the checkout's ``src/`` first on ``sys.path``, builds its
-inputs once, then times ``CALLS`` (7) calls and keeps the best.  One process
+Every row of the table except the tier-1 suite: each row runs in a fresh
+``python3``, with one BLAS thread and the checkout's ``src/`` first on
+``sys.path``, builds its inputs once, then times ``CALLS`` (7) calls and
+keeps the best.  One process
 per row keeps the rows apart: what one row leaves allocated can move another
 row's times through the allocator by a third.  A round runs every row once
 per checkout; with two checkouts, the one that runs first alternates from
@@ -31,7 +31,7 @@ root, calls, row = sys.argv[1], int(sys.argv[2]), sys.argv[3]
 sys.path.insert(0, root + "/src")
 import numpy as np
 from scipy.special import beta as beta_fn
-from drmaj import algebra, entropy, order, rearrange
+from drmaj import _kernels, algebra, empirical, entropy, order, rearrange
 from drmaj.families import dr_family, parse_family
 
 def pdf(spec):
@@ -71,6 +71,20 @@ def blur_pair():
     blur = 0.6 * table + 0.1 * sum(np.roll(table, s, axis=a) for s in (1, -1) for a in (0, 1))
     return blur.ravel(), table.ravel()
 
+def kde_inputs():
+    # the perfbench empirical op's size: a Silverman KDE of 120 N(0, I2) points
+    # evaluated at 16384 uniform points of its default box
+    rng = np.random.default_rng(1)
+    kde = empirical.fit_kde(empirical.Dataset(rng.standard_normal((120, 2))))
+    box = kde.default_box()
+    return rng.uniform(box[:, 0], box[:, 1], (16384, 2)), kde.centers, kde.bandwidths
+
+def empirical_inputs():
+    # a Silverman KDE of 2000 N(0, I2) points; default box and 1024 thresholds
+    rng = np.random.default_rng(1)
+    kde = empirical.fit_kde(empirical.Dataset(rng.standard_normal((2000, 2))))
+    return kde, empirical.McConfig(n_points=100_000, seed=1)
+
 # name: (build the arguments, the timed call)
 ROWS = {
     "slice_compare(mvn:n=1, exp:n=1), 512 levels":
@@ -96,6 +110,8 @@ ROWS = {
          lambda f: (entropy.moments_dr(f), entropy.entropy_dr(f))),
     "dilation_witness, 14 x 14 blur pair": (blur_pair, order.dilation_witness),
     "DensityFn(Beta(2.3, 3.1)), its samples and mass check": (lambda: (), beta_density),
+    "kde_eval, 120 centres x 16384 points": (kde_inputs, _kernels.kde_eval),
+    "empirical_dr, 2-d, 2000 centres x 100k MC points": (empirical_inputs, empirical.empirical_dr),
 }
 if row == "-":
     print(json.dumps(list(ROWS)))

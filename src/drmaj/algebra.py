@@ -504,8 +504,8 @@ def _leaf(text):
     text = text.strip()
     try:
         spec = parse_family(text)
-    except ValueError:
-        spec = None
+    except ValueError as exc:
+        spec, cause = None, str(exc)
     if spec is not None:
         return ExprResult(cdf=dr_family(spec)[1], label=spec.label())
     if os.path.exists(text):
@@ -519,6 +519,8 @@ def _leaf(text):
         if cdf.concave:
             cdf = DrCdf(table=table, pdf=pdf_of_cdf(cdf))
         return ExprResult(cdf=cdf, label=text)
+    if not cause.startswith("unparseable"):  # a family spec, with a bad parameter
+        raise ExprError(cause)
     raise ExprError(f"unknown identifier: {text!r} (not a family spec or file)")
 
 

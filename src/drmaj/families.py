@@ -66,7 +66,7 @@ class FamilySpec:
             self.params = {"n": n, "var": var}
         elif kind == "exp_iid":
             n = int(params.get("n", 1))
-            if not 1 <= n <= 170:  # n! must be a finite double
+            if not 1 <= n <= 170:  # the range the log-space closed forms are checked over
                 raise ValueError("exp dimension must be between 1 and 170")
             self.params = {"n": n}
         elif kind == "exp_rate":
@@ -187,32 +187,41 @@ def dr_mvn(n=1, var=1.0):
 # ---------------------------------------------------------------------------
 
 
+def _exp_radius(z, n):
+    """Simplex radius ``(n! z)^{1/n}`` of superlevel volume z, in log space:
+    at n = 170, ``n! z`` overflows a double once z exceeds ~2.5.
+    """
+    with np.errstate(divide="ignore"):  # z = 0 gives radius 0
+        return np.exp((math.lgamma(n + 1.0) + np.log(z)) / n)
+
+
 def dr_exp_iid(n=1):
     """DR pdf and cdf of n iid unit-rate exponentials.
 
     ``f~(z) = exp(-(n! z)^{1/n})``; the cdf is ``P(n, (n! z)^{1/n})``, i.e.
     ``1 - exp(-z)`` for n=1 and ``1 - (1 + sqrt(2 z)) exp(-sqrt(2 z))`` for n=2.
+    Volumes ``r^n / n!`` and radii are taken in log space, so that neither
+    overflows for any n up to 170.
     """
     spec = FamilySpec("exp_iid", n=n)
     n = spec.params["n"]
-    fact = float(math.factorial(n))
+    log_fact = math.lgamma(n + 1.0)
+
+    def volume(r):
+        with np.errstate(divide="ignore"):  # r = 0 gives volume 0
+            return np.exp(n * np.log(r) - log_fact)
 
     def pdf(z):
-        z = np.asarray(z, dtype=np.float64)
-        return np.exp(-np.power(fact * z, 1.0 / n))
+        return np.exp(-_exp_radius(np.asarray(z, dtype=np.float64), n))
 
     def pdf_inverse(v):
-        v = np.clip(v, 1e-300, 1.0)
-        return np.power(-np.log(v), float(n)) / fact
+        return volume(-np.log(np.clip(v, 1e-300, 1.0)))
 
     def cdf(z):
-        z = np.asarray(z, dtype=np.float64)
-        return special.gammainc(n, np.power(fact * z, 1.0 / n))
+        return special.gammainc(n, _exp_radius(np.asarray(z, dtype=np.float64), n))
 
     def cdf_inverse(p):
-        p = np.asarray(p, dtype=np.float64)
-        r = special.gammaincinv(n, p)
-        return np.power(r, float(n)) / fact
+        return volume(special.gammaincinv(n, np.asarray(p, dtype=np.float64)))
 
     return _closed_form(pdf, Measure(pdf_inverse, 1.0), cdf, cdf_inverse)
 
@@ -328,10 +337,8 @@ def dr_validate_radial(spec):
         recon = stats.chi.pdf(r / sigma, df=n) / sigma * drdz
     elif spec.kind == "exp_iid":
         n = spec.params["n"]
-        fact = float(math.factorial(n))
-        r = np.power(fact * z, 1.0 / n)
-        drdz = np.power(fact * z, 1.0 / n - 1.0) * fact / n
-        recon = stats.gamma.pdf(r, a=n) * drdz
+        r = _exp_radius(z, n)
+        recon = stats.gamma.pdf(r, a=n) * r / (n * z)  # dr/dz = r / (n z)
     elif spec.kind == "exp_rate":
         theta = spec.params["theta"]
         recon = theta * np.exp(-theta * z)

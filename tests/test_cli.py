@@ -43,6 +43,12 @@ def test_family_writes_pdf_and_cdf_tables(tmp_path, capsys):
     assert cdf.values[k] == pytest.approx(exact, abs=1e-6)
 
 
+def test_family_at_the_largest_exp_dimension(tmp_path, capsys):
+    rc, out, err = run(capsys, "family", "exp:n=170", "--out", str(tmp_path))
+    assert rc == 0, err
+    assert out.splitlines() == [f"{tmp_path}/exp_n170_pdf.csv", f"{tmp_path}/exp_n170_cdf.csv"]
+
+
 def test_family_json_output(tmp_path, capsys):
     rc, out, _ = run(
         capsys, "family", "mvn:n=2,var=3", "--out", str(tmp_path), "--json"
@@ -141,6 +147,23 @@ def test_expr_bad_operator_parameter_is_usage(capsys, expr, message):
     rc, _, err = run(capsys, "expr", expr)
     assert rc == 2
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("compare", "exp:n=171", "exp:n=1"),
+         "invalid family spec 'exp:n=171': exp dimension must be between 1 and 170"),
+        (("expr", "mix(mvn:n=1,var=nan, exp:n=1)"),
+         "invalid family spec 'mvn:n=1,var=nan': mvn variance must be finite and positive"),
+    ],
+    ids=["compare", "expr"],
+)
+def test_bad_family_spec_in_expression_names_its_cause(capsys, argv, message):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert err == f"error: {message}\n"
+    assert out == ""
 
 
 def test_expr_mass_failure_is_numeric_error(capsys):

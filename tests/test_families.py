@@ -17,6 +17,7 @@ from drmaj.families import (
     suggested_truncation,
     dr_validate_radial,
 )
+from drmaj.entropy import entropy_dr
 from drmaj.order import OrderVerdict, majorizes_cdf
 from drmaj.rearrange import DrCdf
 
@@ -160,6 +161,15 @@ def test_smaller_rate_spreads_exponential():
     F_slow = dr_exp_rate(0.5)[1]
     F_fast = dr_exp_rate(1.5)[1]
     assert majorizes_cdf(F_slow, F_fast, grid=grid, tol=1e-9) is OrderVerdict.PRECEDES
+
+
+@pytest.mark.parametrize("n", [109, 132, 133, 170])
+def test_exp_entropy_is_its_dimension_up_to_the_cap(n):
+    # (-log v)^n overflowed the measure from n = 109, and r^n the quantile from 133
+    f, F = dr_exp_iid(n)
+    assert math.isfinite(F.z_hi)
+    assert entropy_dr(f) == pytest.approx(n, rel=1e-8)
+    assert dr_validate_radial(f"exp:n={n}") < 1e-12
 
 
 def test_radial_reconstruction():

@@ -30,10 +30,35 @@ def test_kde_eval_manual_two_centers():
 
 def test_kde_eval_chunking_matches_dense():
     rng = np.random.default_rng(7)
-    centers = rng.standard_normal((4096, 2))
+    centers = rng.standard_normal((64, 2))
     h = np.array([0.4, 0.9])
-    pts = rng.standard_normal((2100, 2)) * 2.0
-    # step = 2^22 // 4096 = 1024 rows, so this walks three chunks
+    step = kern._CHUNK_FLOATS // 64
+    # three full blocks of rows and a partial fourth
+    pts = rng.standard_normal((3 * step + step // 3, 2)) * 2.0
+    got = kern.kde_eval(pts, centers, h)
+    np.testing.assert_allclose(got, _dense_kde(pts, centers, h), rtol=1e-12)
+
+
+def test_kde_eval_more_centers_than_a_block_holds():
+    # each block is then a single row of points
+    rng = np.random.default_rng(8)
+    centers = rng.standard_normal((kern._CHUNK_FLOATS + 5, 2))
+    h = np.array([0.5, 0.7])
+    pts = rng.standard_normal((3, 2))
+    got = kern.kde_eval(pts, centers, h)
+    np.testing.assert_allclose(got, _dense_kde(pts, centers, h), rtol=1e-12)
+
+
+def test_kde_eval_of_no_points_is_empty():
+    got = kern.kde_eval(np.empty((0, 2)), np.ones((4, 2)), np.array([1.0, 2.0]))
+    assert got.shape == (0,)
+
+
+def test_kde_eval_one_dimension_matches_dense():
+    rng = np.random.default_rng(9)
+    centers = rng.standard_normal((40, 1))
+    h = np.array([0.25])
+    pts = rng.uniform(-4.0, 4.0, (500, 1))
     got = kern.kde_eval(pts, centers, h)
     np.testing.assert_allclose(got, _dense_kde(pts, centers, h), rtol=1e-12)
 
