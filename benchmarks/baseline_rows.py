@@ -6,13 +6,13 @@
 Every row of the table except the tier-1 suite: each row runs in a fresh
 ``python3``, with one BLAS thread and the checkout's ``src/`` first on
 ``sys.path``, builds its inputs once, then times ``CALLS`` (7) calls and
-keeps the best.  One process
-per row keeps the rows apart: what one row leaves allocated can move another
-row's times through the allocator by a third.  A round runs every row once
-per checkout; with two checkouts, the one that runs first alternates from
-round to round.  Prints, per row, the best over ``ROUNDS`` (3) rounds in
-milliseconds, one column per checkout.  Uses only the standard library; the
-rows themselves use the library's own numpy and scipy.
+keeps the best.  One process per row keeps the rows apart: what one row
+leaves allocated can move another row's times through the allocator by a
+third.  A round runs every row once per checkout; with two checkouts, the
+one that runs first alternates from round to round.  Prints, per row, the
+best over ``ROUNDS`` (3) rounds in milliseconds, one column per checkout.
+Uses only the standard library; the rows themselves use the library's own
+numpy and scipy.
 """
 
 import argparse
