@@ -20,11 +20,11 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .families import dr_family, parse_family
 from .order import default_comparison_grid
 from .rearrange import (
+    TABLE_POINTS,
     DensityFn,
     DrCdf,
     DrPdf,
@@ -229,7 +229,7 @@ def _measure_of_cdf(F):
     """
     if F.pdf is not None:
         return F.pdf.measure
-    table = F.table if F.table is not None else F.tabulated(8193)
+    table = F.tabulated()
     widths = np.diff(table.grid)
     slopes = np.diff(table.values) / widths
     step = _layer_cake(widths, slopes, slopes)
@@ -328,9 +328,14 @@ def meet(F1, F2):
 
 
 def _mass_quantile(pdf, frac):
-    """z below which the pdf holds ``frac`` of its mass, by dense trapezoids."""
-    z = np.linspace(0.0, pdf.z_hi, 8193)
-    cum = cumulative_trapezoid(pdf(z), z, initial=0)
+    """z below which the pdf holds ``frac`` of its mass, by trapezoids on its table.
+
+    An eighth of the default resolution, within 1e-3 of the exact quantile up to
+    ``exp:n=20``, is enough for the step it sets.
+    """
+    table = pdf.tabulated(TABLE_POINTS // 8)
+    z, v = table.grid, table.values
+    cum = np.cumsum(np.append(0.0, 0.5 * (v[1:] + v[:-1]) * np.diff(z)))
     return float(np.interp(frac * cum[-1], cum, z))
 
 
@@ -378,9 +383,9 @@ def scalar_scale(F, beta):
     if not isinstance(F, DrCdf):
         raise TypeError("scalar_scale expects a DrCdf")
     beta = float(beta)
-    if beta <= 0.0:
-        raise ValueError("scale factor must be positive")
-    base = F.table if F.table is not None else F.tabulated(4097)
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise ValueError(f"scale factor must be finite and positive, got {beta!r}")
+    base = F.tabulated()
     out = TabulatedFn(base.grid.copy(), beta * base.values, "nondecreasing")
     out.is_cdf = beta == 1.0
     return out
@@ -396,7 +401,7 @@ def detect_kink(f):
     below 1e-3.
     """
     if isinstance(f, DrPdf):
-        table = f.table if f.table is not None else f.tabulated(4097)
+        table = f.tabulated()
     elif isinstance(f, TabulatedFn):
         table = f
     else:

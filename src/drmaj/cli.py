@@ -33,6 +33,7 @@ from .empirical import (
 from .entropy import SHANNON, EntropyKind, entropy_dr, moments_dr
 from .families import dr_family, parse_family
 from .order import compare_cdfs
+from .rearrange import TABLE_POINTS
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -42,10 +43,6 @@ EXIT_NUMERIC = 3
 def _slug(text):
     out = re.sub(r"[^A-Za-z0-9_.-]+", "_", text.strip())
     return out.strip("_") or "result"
-
-
-def _table_of(obj, n):
-    return obj.table if obj.table is not None else obj.tabulated(n)
 
 
 def _write_table(tab, out_dir, stem, as_json):
@@ -79,8 +76,8 @@ def cmd_family(args):
     f, big_f = dr_family(spec)
     label = spec.label()
     paths = [
-        _write_table(_table_of(f, args.grid), args.out, f"{label}_pdf", args.json),
-        _write_table(_table_of(big_f, args.grid), args.out, f"{label}_cdf", args.json),
+        _write_table(f.tabulated(args.grid), args.out, f"{label}_pdf", args.json),
+        _write_table(big_f.tabulated(args.grid), args.out, f"{label}_cdf", args.json),
     ]
     for p in paths:
         print(p)
@@ -110,8 +107,8 @@ def cmd_expr(args):
     res = eval_expr(args.expression)
     stem = _slug(res.label)
     if res.pdf is not None:
-        print(_write_table(_table_of(res.pdf, args.grid), args.out, f"{stem}_pdf", args.json))
-    print(_write_table(_table_of(res.cdf, args.grid), args.out, f"{stem}_cdf", args.json))
+        print(_write_table(res.pdf.tabulated(args.grid), args.out, f"{stem}_pdf", args.json))
+    print(_write_table(res.cdf.tabulated(args.grid), args.out, f"{stem}_cdf", args.json))
     return EXIT_OK
 
 
@@ -264,7 +261,10 @@ def _build_parser():
     common.add_argument("--out", default=".", help="output directory (default .)")
     common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     common.add_argument(
-        "--grid", type=_grid_points, default=4096, help="table resolution (default 4096)"
+        "--grid", type=_grid_points, default=TABLE_POINTS,
+        help=f"table resolution N (default {TABLE_POINTS}): a closed form is sampled at N "
+        "levels of its pdf and 2N-1 uniform points, with midpoints (N uniform points "
+        "without a pdf); empirical bins its cdf on N points",
     )
     common.add_argument(
         "--json", action="store_true", help="write tables as JSON instead of CSV"

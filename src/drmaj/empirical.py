@@ -78,6 +78,9 @@ class Dataset:
             for lineno, rec in enumerate(reader, start=2):
                 if not rec or all(not c.strip() for c in rec):
                     continue
+                if len(rec) != len(header):
+                    msg = f"{path}:{lineno}: expected {len(header)} fields, got {len(rec)}"
+                    raise ValueError(msg)
                 try:
                     rows.append([float(c) for c in rec])
                 except ValueError as exc:
@@ -254,13 +257,11 @@ def empirical_dr(kde: KdeModel, cfg: McConfig) -> tuple[MeasureFn, DrPdf]:
     return measure, dr
 
 
-def empirical_dr_cdf(dr: DrPdf, z_star, renormalise_pdf=False) -> DrCdf:
+def empirical_dr_cdf(dr: DrPdf, z_star) -> DrCdf:
     """Trapezoid-binned cdf of a tabulated DR on the grid ``z_star``.
 
     Bin masses are cumulated and divided by their total so the cdf ends at
-    exactly 1; the pre-normalisation total is kept as ``mass``. With
-    ``renormalise_pdf`` the attached pdf is scaled by the same total,
-    otherwise the cdf alone is renormalised.
+    exactly 1; the pre-normalisation total is kept as ``mass``.
     """
     z = np.unique(np.asarray(z_star, dtype=np.float64).ravel())
     if z.size < 2:
@@ -277,13 +278,7 @@ def empirical_dr_cdf(dr: DrPdf, z_star, renormalise_pdf=False) -> DrCdf:
         )
     fvals = np.minimum(cum / total, 1.0)
     fvals[-1] = 1.0
-    pdf = dr
-    if renormalise_pdf:
-        if dr.table is not None:
-            pdf = DrPdf(table=TabulatedFn(dr.table.grid, dr.table.values / total), mass_tol=None)
-        else:
-            pdf = None  # a scaled closure would not match its exact measure
-    out = DrCdf(table=TabulatedFn(z, fvals), pdf=pdf)
+    out = DrCdf(table=TabulatedFn(z, fvals), pdf=dr)
     out.mass = total
     return out
 

@@ -224,23 +224,12 @@ def _level_quad(f, g_of_u, what):
     return total
 
 
-def _pdf_samples(f):
-    """Knots for z-side integration of a DR without an exact measure."""
-    if f.table is not None:
-        return f.table.grid, f.table.values
-    hi = f.z_hi
-    z = np.unique(
-        np.concatenate([np.linspace(0.0, hi, 4097), np.geomspace(hi * 1e-9, hi, 513)])
-    )
-    return z, np.asarray(f(z), dtype=np.float64)
-
-
-def _check_tail(values, what):
-    v = np.asarray(values, dtype=np.float64)
-    if v[-1] > 1e-2 * v[0]:
-        raise ValueError(
-            f"{what}: pdf tail has not decayed within the tabulated support"
-        )
+def _decayed_samples(f, what):
+    """Knots and values of the pdf's table, once its tail has decayed."""
+    table = f.tabulated()
+    if table.values[-1] > 1e-2 * table.values[0]:
+        raise ValueError(f"{what}: pdf tail has not decayed within the tabulated support")
+    return table.grid, table.values
 
 
 def entropy_dr(f: DrPdf, kind=SHANNON) -> float:
@@ -250,8 +239,7 @@ def entropy_dr(f: DrPdf, kind=SHANNON) -> float:
             f, lambda u: (f.measure_at(u) * _gauge_slope(u, kind))[:, None], "entropy"
         )
         return float(h)
-    z, v = _pdf_samples(f)
-    _check_tail(v, "entropy")
+    z, v = _decayed_samples(f, "entropy")
     return float(np.trapezoid(_gauge(v, kind), z))
 
 
@@ -265,8 +253,7 @@ def moments_dr(f: DrPdf) -> tuple[float, float]:
 
         first, second = (float(x) for x in _level_quad(f, halves_and_thirds, "moment"))
     else:
-        z, v = _pdf_samples(f)
-        _check_tail(v, "moments")
+        z, v = _decayed_samples(f, "moments")
         first = float(np.trapezoid(z * v, z))
         second = float(np.trapezoid(z * z * v, z))
     return first, second - first * first

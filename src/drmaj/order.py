@@ -249,31 +249,13 @@ def _slice_integrals(pdf, c_levels):
     knot when c is at or below the last sample; S(c) = 0 above the
     maximum.  That is the area under the pdf up to z[j], less ``c z[j]``,
     plus the piece, but as a sum of nonnegative terms, so nothing cancels.
+    The samples are :meth:`DrPdf.tabulated`: a table's knots, or ~49k points
+    of a closed form, which follow its superlevel measure.
     ``np.minimum.accumulate`` first flattens tables that rise by up to
-    ``MONOTONE_TOL``, as :meth:`DrPdf.tabulated` does.
-
-    Closed-form pdfs get sampling nodes adapted through the superlevel
-    measure (geometric in value), so regions where the DR moves fast in
-    value, such as an unbounded slope at z = 0 or a flat maximum, are
-    resolved without a huge uniform grid; the midpoints of those nodes are
-    interleaved between them.
+    ``MONOTONE_TOL``, as the closed forms' samples already are.
     """
-    if pdf.table is None:
-        top = pdf.max_value
-        z_end = pdf.z_hi
-        floor = min(float(np.min(c_levels)), top * 1e-9)
-        u = np.geomspace(floor, top * (1.0 - 1e-12), 8193)
-        adapted = np.asarray(pdf.measure_at(u), dtype=np.float64)
-        nodes = np.unique(np.concatenate([adapted, np.linspace(0.0, z_end, 16385)]))
-        nodes = nodes[(nodes >= 0.0) & (nodes <= z_end)]
-        z = np.empty(2 * nodes.size - 1)
-        z[0::2] = nodes
-        z[1::2] = 0.5 * (nodes[1:] + nodes[:-1])
-        v = pdf(z)
-    else:
-        z = pdf.table.grid
-        v = pdf.table.values
-    v = np.minimum.accumulate(v)  # fp guard
+    table = pdf.tabulated()
+    z, v = table.grid, np.minimum.accumulate(table.values)  # fp guard
     s_knots = np.append(0.0, np.cumsum(0.5 * (z[1:] + z[:-1]) * (v[:-1] - v[1:])))
     j = np.maximum(np.searchsorted(-v, -c_levels, side="right") - 1, 0)
     k = np.minimum(j + 1, v.size - 1)

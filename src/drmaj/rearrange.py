@@ -39,8 +39,11 @@ __all__ = [
     "eval_cdf",
 ]
 
-#: gap between the two knots of a tabulated step (one double where that rounds away)
+#: gap between a tabulated step's two knots; on a table shorter than 1, that fraction of it
 KNOT_GAP = 1e-12
+
+#: resolution of a closed form's table (see :func:`_sample_points`)
+TABLE_POINTS = 8193
 
 #: tolerance for monotonicity validation of tabulated data
 MONOTONE_TOL = 1e-12
@@ -445,6 +448,29 @@ def _probe_grid(z_hi, n=2049):
     return np.linspace(0.0, z_hi, n)
 
 
+def _sample_points(z_hi, n, pdf=None):
+    """Points of ``[0, z_hi]`` at which a closed form is tabulated; n uniform ones without a pdf.
+
+    With a DR pdf: ``2n - 1`` uniform points and z = m(u), its superlevel
+    measure at n geometric levels u from the maximum down to its value at
+    ``z_hi`` (or 1e-9 of the maximum, if lower), so that the points follow
+    the mass of a stretched DR and resolve one that moves fast in value near
+    z = 0.  Of two points within 1e-9 of z, where values differ by rounding,
+    the first is dropped; the midpoints of the rest are interleaved.
+    """
+    if pdf is None:
+        return np.linspace(0.0, z_hi, n)
+    top = pdf.max_value
+    floor = min(top * 1e-9, float(pdf(z_hi))) or top * 1e-9  # 0 where the support ends
+    # geometric levels, falling, give rising z: two sorted runs, which a stable sort merges
+    u = top * np.exp(np.linspace(np.log1p(-1e-12), np.log(floor / top), n))
+    adapted = np.minimum(pdf.measure_at(u), z_hi)
+    nodes = np.sort(np.concatenate([adapted, np.linspace(0.0, z_hi, 2 * n - 1)]), kind="stable")
+    nodes = nodes[np.append(np.diff(nodes) > 1e-9 * nodes[1:], True)]
+    mids = 0.5 * (nodes[1:] + nodes[:-1])
+    return np.append(np.column_stack([nodes[:-1], mids]).ravel(), nodes[-1])
+
+
 def _concave_flag(z, v):
     """Whether the piecewise-linear (z, v) has nonincreasing slopes, within a bound.
 
@@ -564,12 +590,12 @@ class DrPdf:
         out = self.measure(np.atleast_1d(np.asarray(v, dtype=np.float64)))
         return out if np.asarray(v).ndim else float(out[0])
 
-    def tabulated(self, n=4096, z_hi=None):
-        """Sample the pdf on a uniform grid as a TabulatedFn."""
-        z = np.linspace(0.0, self.z_hi if z_hi is None else z_hi, int(n))
-        vals = self(z)
-        vals = np.minimum.accumulate(vals)  # fp guard
-        return TabulatedFn(z, vals, "nonincreasing")
+    def tabulated(self, n=TABLE_POINTS):
+        """The pdf as a TabulatedFn: its table, or a closed form at its :func:`_sample_points`."""
+        if self.table is not None:
+            return self.table
+        z = _sample_points(self.z_hi, int(n), self)
+        return TabulatedFn(z, np.minimum.accumulate(self(z)), "nonincreasing")  # fp guard
 
 
 class DrCdf:
@@ -680,13 +706,12 @@ class DrCdf:
         out = _bisect_increasing(self.fn, np.array([1.0 - eps]), 0.0, hi)
         return float(out[0])
 
-    def tabulated(self, n=4096, z_hi=None):
-        if z_hi is None:
-            z_hi = self.z_hi
-        z = np.linspace(0.0, z_hi, int(n))
-        vals = self(z)
-        vals = np.maximum.accumulate(np.clip(vals, 0.0, 1.0))
-        return TabulatedFn(z, vals, "nondecreasing")
+    def tabulated(self, n=TABLE_POINTS):
+        """The cdf as a TabulatedFn: its table, or a closed form at :func:`_sample_points`."""
+        if self.table is not None:
+            return self.table
+        z = _sample_points(self.z_hi, int(n), self.pdf)
+        return TabulatedFn(z, np.maximum.accumulate(np.clip(self(z), 0.0, 1.0)), "nondecreasing")
 
     def knots(self):
         return self.table.grid if self.table is not None else None
@@ -709,9 +734,10 @@ def _bisect_increasing(fn, targets, lo, hi, iters=80):
 # ---------------------------------------------------------------------------
 
 
-def _after(z):
-    """Knot just after ``z``: ``KNOT_GAP`` further on, or the next double if that rounds away."""
-    return np.maximum(z + KNOT_GAP, np.nextafter(z, np.inf))
+def _after(z, extent):
+    """Knot just after ``z`` on a table reaching ``extent``: ``KNOT_GAP`` times
+    ``min(1, extent)`` further on, or the next double if that rounds away."""
+    return np.maximum(z + KNOT_GAP * min(1.0, extent), np.nextafter(z, np.inf))
 
 
 def _settle(x, step):
@@ -747,13 +773,14 @@ def _swap_axes_to_table(measures, thresholds, max_value):
     ends = np.append(starts[1:] - 1, n - 1)
     z = measures[starts]
     multi = ends > starts
+    extent = float(top[-1])
 
     def last_knot(r, prev):
         base = np.maximum(z[r - 1], prev)
-        return np.where(multi[r - 1], _after(base), base)
+        return np.where(multi[r - 1], _after(base, extent), base)
 
     # last[r + 1]: the last knot once run r is placed; last[0] is z = 0
-    last = _settle(np.concatenate([[0.0], np.where(multi, _after(z), z)]), last_knot)
+    last = _settle(np.concatenate([[0.0], np.where(multi, _after(z, extent), z)]), last_knot)
     knots = np.column_stack([z, last[1:]])
     vals = np.column_stack([thresholds[starts], thresholds[ends]])
     emit = np.column_stack([z > last[:-1], multi])
@@ -797,7 +824,7 @@ def _rearranged_samples(z, fz):
     zs = np.maximum.accumulate(np.insert(m, r + 1, m[r] - runs[r])[::-1])
     vs = np.insert(v, r + 1, v[r])[::-1]
     if v[0] > 0.0:
-        zs, vs = np.append(zs, _after(zs[-1])), np.append(vs, 0.0)
+        zs, vs = np.append(zs, _after(zs[-1], zs[-1])), np.append(vs, 0.0)
     keep = np.append(True, np.diff(zs) > 0)
     return zs[keep], vs[keep]
 
@@ -851,9 +878,9 @@ def _dr_of_samples(z, fz, normalize=True):
 def cdf_of_dr(f):
     """Integrate a DR pdf into its DR cdf.
 
-    Cumulative trapezoidal integration on the pdf's own knots (tabulated
-    pdfs) or 16385 uniform points (closed forms), clamped monotone.  The total must land within
-    1e-4 of 1; the curve is then rescaled to end exactly at 1.
+    Cumulative trapezoidal integration on :meth:`DrPdf.tabulated` (a table's
+    knots, or ~49k points of a closed form), clamped monotone.  The total must
+    land within 1e-4 of 1; the curve is then rescaled to end exactly at 1.
 
     Returns
     -------
@@ -862,13 +889,13 @@ def cdf_of_dr(f):
     """
     if not isinstance(f, DrPdf):
         raise TypeError("cdf_of_dr expects a DrPdf")
-    z = f.table.grid if f.table is not None else np.linspace(0.0, f.z_hi, 16385)
-    cum = np.maximum.accumulate(cumulative_trapezoid(f(z), z, initial=0))
+    table = f.tabulated()
+    cum = np.maximum.accumulate(cumulative_trapezoid(table.values, table.grid, initial=0))
     total = float(cum[-1])
     if abs(total - 1.0) > 1e-4:
         raise ValueError(f"cdf total {total:.6g} is not within 1e-4 of 1; extend the grid")
     cum /= total
-    table = TabulatedFn(z, np.clip(cum, 0.0, 1.0), "nondecreasing")
+    table = TabulatedFn(table.grid, np.clip(cum, 0.0, 1.0), "nondecreasing")
     return DrCdf(table=table, pdf=f)
 
 
@@ -877,23 +904,24 @@ def pdf_of_cdf(F):
 
     The derivative of a concave piecewise-linear cdf is a nonincreasing step
     function; steps are stored with the adjacent-knot convention.  A closed
-    form is first tabulated on 4097 points.
+    form is first tabulated (:meth:`DrCdf.tabulated`).
     """
     if not isinstance(F, DrCdf):
         raise TypeError("pdf_of_cdf expects a DrCdf")
     if not F.concave:
         raise ValueError("cdf is not concave; its derivative is not a DR pdf")
-    table = F.table if F.table is not None else F.tabulated(4097)
+    table = F.tabulated()
     g = table.grid
     v = table.values
     slopes = np.minimum.accumulate(np.maximum(np.diff(v) / np.diff(g), 0.0))
     # each inner knot g becomes g (left slope) and _after(g) (right slope);
     # a knot not beyond its predecessor moves to just after it
     inner = g[1:-1]
-    raw = np.concatenate([[0.0], np.column_stack([inner, _after(inner)]).ravel(), [g[-1]]])
+    end = g[-1]
+    raw = np.concatenate([[0.0], np.column_stack([inner, _after(inner, end)]).ravel(), [end]])
 
     def beyond(k, prev):
-        return np.where(raw[k] > prev, raw[k], _after(prev))
+        return np.where(raw[k] > prev, raw[k], _after(prev, end))
 
     zs = _settle(raw.copy(), beyond)
     table = TabulatedFn(zs, np.repeat(slopes, 2), "nonincreasing")

@@ -11,6 +11,7 @@ from conftest import f5_cdf
 from drmaj.algebra import (
     ExprError,
     MixWeight,
+    _mass_quantile,
     convolve_dr,
     detect_kink,
     direct_mix,
@@ -26,7 +27,7 @@ from drmaj.algebra import (
     scalar_scale,
 )
 from drmaj.entropy import SHANNON, _level_breaks, entropy_dr, moments_dr
-from drmaj.families import dr_exp_iid, dr_exp_rate, dr_mvn
+from drmaj.families import dr_exp_iid, dr_exp_rate, dr_family, dr_mvn
 from drmaj.order import OrderVerdict, majorizes_cdf, majorizes_discrete
 from drmaj.rearrange import DrPdf, TabulatedFn, cdf_of_dr, pdf_of_cdf
 
@@ -125,7 +126,7 @@ def test_rate_mix_moments_and_entropy(rate_mix):
 
 def test_no_kink_on_smooth_dr():
     f, _ = dr_exp_rate(0.7)
-    assert detect_kink(f.tabulated(4097, z_hi=30.0)) is None
+    assert detect_kink(f.tabulated(4097)) is None
 
 
 def test_self_mixes():
@@ -332,6 +333,25 @@ def test_scalar_scale():
         scalar_scale(F, 0.0)
 
 
+@pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
+def test_scalar_scale_rejects_a_non_finite_factor(beta):
+    _, F = dr_exp_iid(1)
+    with pytest.raises(ValueError, match="scale factor must be finite and positive"):
+        scalar_scale(F, beta)
+
+
+@pytest.mark.parametrize(
+    "spec", [f"exp:n={n}" for n in (1, 2, 4, 8, 12, 20)] + [f"mvn:n={n}" for n in (1, 2, 5, 20)]
+)
+def test_mass_quantile_matches_the_exact_quantile(spec):
+    # the quantile sets convolve_dr's step; on a uniform grid of [0, z_hi] it
+    # read 0.0014-0.81 of the exact one for exp:n 4-20 (exp:n=1 and 2 and
+    # mvn:n=1 and 2 were right before)
+    f, F = dr_family(spec)
+    want = F.quantile_at(1.0 - 1e-6)
+    assert _mass_quantile(f, 1.0 - 1e-6) == pytest.approx(want, rel=1e-3)
+
+
 # ---------------------------------------------------------------------------
 # expression evaluation
 # ---------------------------------------------------------------------------
@@ -371,7 +391,7 @@ def test_expr_operations():
 def test_expr_file_leaf(tmp_path):
     f, _ = dr_exp_iid(1)
     path = tmp_path / "dr.csv"
-    f.tabulated(2049, z_hi=25.0).to_csv(path)
+    f.tabulated(2049).to_csv(path)
     res = eval_expr(str(path))
     z = np.linspace(0.0, 20.0, 201)
     assert np.max(np.abs(res.pdf(z) - np.exp(-z))) <= 1e-3

@@ -1,12 +1,14 @@
 """End-to-end CLI tests driven through main(argv) in process."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from drmaj.algebra import eval_expr
 from drmaj.cli import main
+from drmaj.entropy import entropy_dr
 from drmaj.rearrange import TabulatedFn
 
 
@@ -47,6 +49,24 @@ def test_family_at_the_largest_exp_dimension(tmp_path, capsys):
     rc, out, err = run(capsys, "family", "exp:n=170", "--out", str(tmp_path))
     assert rc == 0, err
     assert out.splitlines() == [f"{tmp_path}/exp_n170_pdf.csv", f"{tmp_path}/exp_n170_cdf.csv"]
+
+
+def test_family_table_follows_the_mass_of_a_stretched_dr(tmp_path, capsys):
+    # exp:n=10 holds most of its mass far below its maximum: a uniform table
+    # of [0, z_hi] read 0.986 at its first point after z = 0
+    rc, out, err = run(capsys, "family", "exp:n=10", "--out", str(tmp_path))
+    assert rc == 0, err
+    cdf_path = out.splitlines()[1]
+    assert TabulatedFn.from_csv(cdf_path).values[1] < 1e-3
+    assert entropy_dr(eval_expr(cdf_path).pdf) == pytest.approx(10.0, abs=1e-4)
+
+
+def test_family_table_of_a_tiny_extent_reads_back(tmp_path, capsys):
+    # the table ends at z = 1.3e-12, so the knot gap of its steps scales with it
+    rc, out, err = run(capsys, "family", "mvn:n=2,var=1e-14", "--json", "--out", str(tmp_path))
+    assert rc == 0, err
+    h = entropy_dr(eval_expr(out.splitlines()[1]).pdf)
+    assert h == pytest.approx(math.log(2.0 * math.pi * math.e * 1e-14), abs=1e-6)
 
 
 def test_family_json_output(tmp_path, capsys):

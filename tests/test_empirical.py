@@ -69,6 +69,14 @@ def test_dataset_from_csv(tmp_path):
         Dataset.from_csv(empty)
 
 
+@pytest.mark.parametrize("row, fields", [("1.0,2.0,3.0", 3), ("1.0", 1)])
+def test_dataset_from_csv_names_a_row_of_the_wrong_width(tmp_path, row, fields):
+    path = tmp_path / "pts.csv"
+    path.write_text("u,v\n" + "".join(f"{i},{i}\n" for i in range(10)) + row + "\n")
+    with pytest.raises(ValueError, match=f"pts.csv:12: expected 2 fields, got {fields}"):
+        Dataset.from_csv(path)
+
+
 def test_kde_pointwise_values():
     model = KdeModel(np.array([[0.0], [1.0]]), np.array([1.0]))
     phi = lambda t: np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)
@@ -195,10 +203,6 @@ def test_cdf_binning_controls():
     F = empirical_dr_cdf(dr, np.linspace(0.0, 40.0, 2001))
     assert float(F(F.z_hi)) == 1.0
     assert 0.97 <= F.mass <= 1.03
-    scaled = empirical_dr_cdf(dr, np.linspace(0.0, 40.0, 2001), renormalise_pdf=True)
-    mass = np.trapezoid(scaled.pdf.table.values, scaled.pdf.table.grid)
-    full = np.trapezoid(dr.table.values, dr.table.grid)
-    assert mass == pytest.approx(full / F.mass, rel=1e-12)
 
 
 def test_discrete_empirical_dr():

@@ -113,7 +113,7 @@ def test_moments_share_one_level_quadrature():
 
 def test_tabulated_path_agrees_with_exact_measure():
     f, _ = dr_exp_rate(0.8)
-    tab = DrPdf(table=f.tabulated(8193, z_hi=50.0), mass_tol=1e-4)
+    tab = DrPdf(table=f.tabulated(8193), mass_tol=1e-4)
     assert entropy_dr(tab) == pytest.approx(entropy_dr(f), abs=1e-4)
     m_tab = moments_dr(tab)
     m_exact = moments_dr(f)

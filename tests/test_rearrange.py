@@ -12,7 +12,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from drmaj.algebra import inverse_mix
 from drmaj.entropy import entropy_dr
-from drmaj.families import dr_beta32, dr_exp_iid
+from drmaj.families import dr_beta32, dr_exp_iid, dr_family
 from drmaj.order import compare_cdfs
 from drmaj.rearrange import (
     KNOT_GAP,
@@ -318,6 +318,29 @@ def test_pdf_of_cdf_recovers_slopes():
     assert np.max(np.abs(f_step(sample) - np.exp(-sample))) <= 1e-4
 
 
+@pytest.mark.parametrize(
+    "spec",
+    ["exp:n=1", "exp:n=4", "exp:n=8", "exp:n=12", "exp:n=20", "exp:n=170", "mvn:n=1",
+     "mvn:n=20,var=1e-3", "mvn:n=20,var=1e3", "exprate:theta=1e-3", "exprate:theta=40",
+     "beta32"],
+)
+def test_cdf_of_dr_follows_the_mass_of_closed_forms(spec):
+    # a stretched DR (exp:n >= 4, mvn:n=20) holds most of its mass far below
+    # its maximum, so a uniform grid of [0, z_hi] put it in the first cell;
+    # exp:n=1, mvn:n=1, exprate and beta32 were resolved before
+    f, F = dr_family(spec)
+    table = cdf_of_dr(f).table
+    assert np.max(np.abs(table.values - F(table.grid))) <= 1e-6
+
+
+def test_tabulated_carriers_return_their_own_table():
+    pdf = DrPdf(table=TabulatedFn([0.0, 1.0, 2.0], [1.0, 0.5, 0.0]))
+    F = cdf_of_dr(pdf)
+    for carrier in (pdf, F):
+        assert carrier.tabulated() is carrier.table
+        assert carrier.tabulated(5) is carrier.table
+
+
 def test_grid_validation():
     with pytest.raises(ValueError, match="strictly increasing"):
         Grid(np.array([0.0, 1.0, 1.0]))
@@ -360,6 +383,7 @@ def test_pdf_of_cdf_steps_far_from_zero():
 
 
 def _loop_swap(measures, thresholds, max_value):
+    gap = KNOT_GAP * min(1.0, float(np.max(measures)))
     zs = [0.0]
     vs = [max_value]
     n = measures.size
@@ -373,32 +397,33 @@ def _loop_swap(measures, thresholds, max_value):
             zs.append(z)
             vs.append(float(thresholds[i]))
         if j > i:
-            zs.append(max(z, zs[-1]) + KNOT_GAP)
+            zs.append(max(z, zs[-1]) + gap)
             vs.append(float(thresholds[j]))
         i = j + 1
     zs = np.asarray(zs)
     for k in range(1, zs.size):
         if zs[k] <= zs[k - 1]:
-            zs[k] = zs[k - 1] + KNOT_GAP
+            zs[k] = zs[k - 1] + gap
     return zs, np.minimum.accumulate(np.asarray(vs))
 
 
 def _loop_pdf_of_cdf(F):
     g = F.table.grid
+    gap = KNOT_GAP * min(1.0, float(g[-1]))
     slopes = np.minimum.accumulate(np.maximum(np.diff(F.table.values) / np.diff(g), 0.0))
     zs = [0.0]
     vs = [float(slopes[0])]
     for k in range(1, slopes.size):
         zs.append(float(g[k]))
         vs.append(float(slopes[k - 1]))
-        zs.append(float(g[k]) + KNOT_GAP)
+        zs.append(float(g[k]) + gap)
         vs.append(float(slopes[k]))
     zs.append(float(g[-1]))
     vs.append(float(slopes[-1]))
     zs = np.asarray(zs)
     for k in range(1, zs.size):
         if zs[k] <= zs[k - 1]:
-            zs[k] = zs[k - 1] + KNOT_GAP
+            zs[k] = zs[k - 1] + gap
     return zs, np.asarray(vs)
 
 
