@@ -115,6 +115,8 @@ ROWS = {
     "moments_dr + entropy_dr, mix(exp:n=1, exp:n=2)":
         (lambda: (algebra.eval_expr("mix(exp:n=1, exp:n=2)").pdf,),
          lambda f: (entropy.moments_dr(f), entropy.entropy_dr(f))),
+    "moments_dr + entropy_dr, mvn:n=1":
+        (lambda: (pdf("mvn:n=1"),), lambda f: (entropy.moments_dr(f), entropy.entropy_dr(f))),
     "dilation_witness, 14 x 14 blur pair": (blur_pair, order.dilation_witness),
     "DensityFn(Beta(2.3, 3.1)), its samples and mass check": (lambda: (), beta_density),
     "kde_eval, 120 centres x 16384 points": (kde_inputs, _kernels.kde_eval),

@@ -6,18 +6,17 @@ rearranges to it.  A DR with an exact superlevel ``Measure`` m(u) (closed
 forms, and mixes and tropical products built from them) is integrated on the
 level side, by the layer-cake formula: the entropy is the integral of m(u)
 h'(u) du, the mean of m(u)^2 / 2 du and the second moment of m(u)^3 / 3 du.
-The level axis is taken as t = -log(u / max f), where the integrands decay,
-and cut into panels, with edges at the measure's break levels, by an
-adaptive Gauss-Legendre 21/10 rule: every pass evaluates the measure once,
-on the nodes of all panels not yet accepted, accepts a panel whose 21- and
-10-point sums agree within its share of the tolerance, and bisects the
-others; it stops when the summed panel errors meet the tolerance (see
-``_level_quad``).  Tabulated DRs without a measure fall back to trapezoid
-sums on their knots, with tails beyond the table contributing zero.  So do
-mixes and tropical products of an operand without a measure (a table, a
-convolution, ``beta32``): their measure would interpolate that operand's
-samples, whose thousands of kinks the panel rule cannot resolve within its
-tolerance.
+These integrals take the level-side panel rule of :mod:`drmaj.rearrange`
+(``_level_quad``, which the slice integrals of :mod:`drmaj.order` share): an
+adaptive Gauss-Legendre 21/10 rule on t = -log(u / max f), with panel edges
+at the measure's break levels, that integrates each segment starting at
+t = 0 or at a break in s = sqrt(t - start), so the square-root start of a
+smooth mode costs no extra passes.  Tabulated DRs without a measure fall back
+to trapezoid sums on their knots, with tails beyond the table contributing
+zero.  So do mixes and tropical products of an operand without a measure (a
+table, a convolution, ``beta32``): their measure would interpolate that
+operand's samples, whose thousands of kinks the panel rule cannot resolve
+within its tolerance.
 """
 
 from __future__ import annotations
@@ -29,7 +28,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .order import ProbMatrix, ProbVector
-from .rearrange import DrPdf
+# _level_breaks is not used here, but stays importable from this module
+from .rearrange import DrPdf, _level_breaks, _level_quad  # noqa: F401
 
 __all__ = [
     "EntropyKind",
@@ -135,93 +135,6 @@ def entropy_discrete(p, kind=SHANNON):
 # ---------------------------------------------------------------------------
 # DR functionals
 # ---------------------------------------------------------------------------
-
-_X21, _W21 = np.polynomial.legendre.leggauss(21)
-_X10, _W10 = np.polynomial.legendre.leggauss(10)
-#: a panel's nodes on [-1, 1]: the 21-point rule's, then the 10-point rule's
-_NODES = np.concatenate([_X21, _X10])
-#: one weight column per rule over ``_NODES``
-_WEIGHTS = np.zeros((_NODES.size, 2))
-_WEIGHTS[:21, 0], _WEIGHTS[21:, 1] = _W21, _W10
-#: panels the level-side rule may hold before it gives up
-_MAX_PANELS = 2000
-#: relative (absolute below 1) error allowed in each level-side total
-_LEVEL_RTOL = 1e-10
-
-
-def _level_breaks(f):
-    """Quadrature split points in t = -log(u / vmax), at the measure's break levels."""
-    vmax = float(f.max_value)
-    return [-math.log(u / vmax) for u in f.measure.breaks if 0.0 < u < vmax * (1.0 - 1e-12)]
-
-
-def _level_quad(f, g_of_u, what):
-    """Integrals of the k columns of G(u) u dt, t = -log(u / vmax) in [0, T].
-
-    This is the layer-cake integral of G(u) du over (0, max f].  ``g_of_u``
-    maps n levels to an (n, k) array; G carries the superlevel measure, so
-    polynomial-in-log growth is damped by the u factor.  T = log(vmax) + 745,
-    beyond which u underflows to 0.  The first panels have edges at 0, at the
-    measure's break levels (``_level_breaks``) and at powers of 2.  Each pass
-    evaluates G once, on the nodes of every pending panel; a panel's value is its
-    21-point Gauss-Legendre sum and its error the distance to the 10-point
-    sum.  A panel whose error, in every column, is within its share of the
-    tolerance (its width over T) is kept; the others are bisected, until the
-    errors of all panels sum within the tolerance, ``_LEVEL_RTOL`` times the
-    larger of 1 and the column's total.  A non-finite value raises (the tail
-    does not decay), and so does a run past ``_MAX_PANELS`` panels (the
-    measure has more jumps than the panels can resolve).
-    """
-    vmax = float(f.max_value)
-    end = math.log(vmax) + 745.0
-
-    def integrand(t):
-        u = vmax * np.exp(-t)
-        live = u > 0.0
-        # an overflow shows as a non-finite value, which the panel loop rejects
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = np.asarray(g_of_u(np.where(live, u, vmax)), dtype=np.float64)
-            return g * np.where(live, u, 0.0)[:, None]
-
-    def fail():
-        return ValueError(f"{what} quadrature did not converge: tail not decaying")
-
-    powers = 2.0 ** np.arange(math.ceil(math.log2(end)))
-    edges = np.unique(np.concatenate([[0.0, end], _level_breaks(f), powers]))
-    edges = edges[edges <= end]
-    lo, hi = edges[:-1], edges[1:]
-    kept_sum = kept_err = 0.0
-    panels = lo.size
-    while True:
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        vals = integrand((mid[:, None] + half[:, None] * _NODES).ravel())
-        if not np.all(np.isfinite(vals)):
-            raise fail()
-        rules = np.einsum("pnk,nr->rpk", vals.reshape(lo.size, _NODES.size, -1), _WEIGHTS)
-        value = half[:, None] * rules[0]
-        err = half[:, None] * np.abs(rules[0] - rules[1])
-        tol = _LEVEL_RTOL * np.maximum(1.0, np.abs(kept_sum + value.sum(axis=0)))
-        todo = np.any(err > tol * (2.0 * half / end)[:, None], axis=1)
-        kept_sum = kept_sum + value[~todo].sum(axis=0)
-        kept_err = kept_err + err[~todo].sum(axis=0)
-        if not todo.any() or np.all(kept_err + err[todo].sum(axis=0) <= tol):
-            total = kept_sum + value[todo].sum(axis=0)
-            break
-        panels += int(np.count_nonzero(todo))
-        if panels > _MAX_PANELS:
-            raise ValueError(
-                f"{what} quadrature did not converge: more than {_MAX_PANELS} panels; "
-                "the measure has more jumps than the panels can resolve"
-            )
-        lo, mid, hi = lo[todo], mid[todo], hi[todo]
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-    # a u-side integrand still flat at t ~ 300 (u ~ vmax * e^-300) means the
-    # integral diverges; the finite t range would truncate it to a confident
-    # finite value that the panel error estimate cannot see
-    at300, at600 = np.abs(integrand(np.array([300.0, 600.0])))
-    if np.any((at300 > 1e-12 * np.maximum(1.0, np.abs(total))) & (at600 > 0.5 * at300)):
-        raise fail()
-    return total
 
 
 def _decayed_samples(f, what):

@@ -21,6 +21,7 @@ from .rearrange import (
     Grid,
     _check_tol,
     _dr_of_samples,
+    _level_quad,
     cdf_of_dr,
     dr_from_density_1d,
 )
@@ -234,26 +235,35 @@ def compare_cdfs(f1, f2, grid=None, tol=None):
 
 
 def _slice_integrals(pdf, c_levels):
-    """Integrals ``S(c)`` of (f - c)_+ over z, one per level c, by one prefix sum.
+    """Integrals ``S(c)`` of (f - c)_+ over z, one per level c.
 
-    The pdf's samples v on knots z (``z[0] = 0``) are nonincreasing, so
-    ``{f >= c}`` is ``[0, m(c)]`` and S(c) is the integral of m from c up
-    to the maximum (Lieb & Loss, *Analysis*, 1.13).  On the level axis m is
-    piecewise linear between the samples, so one ``cumsum`` of its
-    trapezoids gives S at every sample, and with j the last knot having
-    ``v[j] >= c`` (one ``searchsorted``),
+    The pdf is nonincreasing, so ``{f >= c}`` is ``[0, m(c)]`` and S(c) is
+    the integral of its superlevel measure m from c up to the maximum (Lieb
+    & Loss, *Analysis*, 1.13); S(c) = 0 above the maximum.  Two routes:
 
-        S(c) = S(v[j]) + (v[j] - c) (z[j] + m(c)) / 2,
+    - A pdf whose ``measure`` is exact and has no ``jumps`` (closed forms,
+      and the mixes and tropical products built from them) integrates m
+      itself on the level side, by the cumulative read-out of
+      :func:`~drmaj.rearrange._level_quad` at every c in one call.
+    - Every other pdf (tables, ``beta32``, step measures, whose thousands
+      of jumps the panels cannot resolve) takes one prefix sum over its
+      samples v on knots z (``z[0] = 0``), :meth:`DrPdf.tabulated`.  On the
+      level axis m is piecewise linear between the samples, so one
+      ``cumsum`` of its trapezoids gives S at every sample, and with j the
+      last knot having ``v[j] >= c`` (one ``searchsorted``),
 
-    where m(c) interpolates the piece ``[z[j], z[j+1]]``, or is the last
-    knot when c is at or below the last sample; S(c) = 0 above the
-    maximum.  That is the area under the pdf up to z[j], less ``c z[j]``,
-    plus the piece, but as a sum of nonnegative terms, so nothing cancels.
-    The samples are :meth:`DrPdf.tabulated`: a table's knots, or ~49k points
-    of a closed form, which follow its superlevel measure.
-    ``np.minimum.accumulate`` first flattens tables that rise by up to
-    ``MONOTONE_TOL``, as the closed forms' samples already are.
+          S(c) = S(v[j]) + (v[j] - c) (z[j] + m(c)) / 2,
+
+      where m(c) interpolates the piece ``[z[j], z[j+1]]``, or is the last
+      knot when c is at or below the last sample.  That is the area under
+      the pdf up to z[j], less ``c z[j]``, plus the piece, but as a sum of
+      nonnegative terms, so nothing cancels.  ``np.minimum.accumulate``
+      first flattens tables that rise by up to ``MONOTONE_TOL``.
     """
+    measure = pdf.measure
+    if measure.exact and not measure.jumps.size:
+        _, s = _level_quad(pdf, lambda u: measure(u)[:, None], "slice", c_levels)
+        return s[:, 0]
     table = pdf.tabulated()
     z, v = table.grid, np.minimum.accumulate(table.values)  # fp guard
     s_knots = np.append(0.0, np.cumsum(0.5 * (z[1:] + z[:-1]) * (v[:-1] - v[1:])))

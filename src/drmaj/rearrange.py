@@ -10,6 +10,8 @@ and swapping axes.
 
 This module provides the carriers (grids, tabulated monotone functions,
 densities, sampled and exact measure functions, DR pdfs and DR cdfs), the
+level-side panel rule that integrates over an exact measure's levels
+(``_level_quad``, behind the entropies, moments and slice integrals), the
 rearrangement and integration operations, and lossless JSON/CSV
 serialisation for tabulated functions.
 """
@@ -358,6 +360,136 @@ class Measure:
             return k * np.asarray(self.fn(k * v), dtype=np.float64)
 
         return Measure(fn, self.vmax / k, self.breaks / k, self.jumps / k, self.exact)
+
+
+_X21, _W21 = np.polynomial.legendre.leggauss(21)
+_X10, _W10 = np.polynomial.legendre.leggauss(10)
+#: a panel's nodes on [-1, 1]: the 21-point rule's, then the 10-point rule's
+_NODES = np.concatenate([_X21, _X10])
+#: one weight column per rule over ``_NODES``
+_WEIGHTS = np.zeros((_NODES.size, 2))
+_WEIGHTS[:21, 0], _WEIGHTS[21:, 1] = _W21, _W10
+#: panels the level-side rule may hold before it gives up
+_MAX_PANELS = 2000
+#: relative (absolute below 1) error allowed in each level-side total
+_LEVEL_RTOL = 1e-10
+
+
+def _level_breaks(f):
+    """Quadrature split points in t = -log(u / vmax), at the measure's break levels."""
+    vmax = float(f.max_value)
+    return [-math.log(u / vmax) for u in f.measure.breaks if 0.0 < u < vmax * (1.0 - 1e-12)]
+
+
+def _level_quad(f, g_of_u, what, levels=None):
+    """Integrals of the k columns of G(u) u dt, t = -log(u / vmax) in [0, T].
+
+    This is the layer-cake integral of G(u) du over (0, max f].  ``g_of_u``
+    maps n levels to an (n, k) array; G carries the superlevel measure, so
+    polynomial-in-log growth is damped by the u factor.  T = log(vmax) + 745,
+    beyond which u underflows to 0.  The first panels have edges at 0, at the
+    measure's break levels (``_level_breaks``), at powers of 2 and at the
+    requested ``levels``.  Each pass evaluates G once, on the nodes of every
+    pending panel; a panel's value is its 21-point Gauss-Legendre sum and its
+    error the distance to the 10-point sum.  A panel whose error, in every
+    column, is within its share of the tolerance (its width in t over T) is
+    kept; the others are bisected, until the errors of all panels sum within
+    the tolerance, ``_LEVEL_RTOL`` times the larger of 1 and the column's
+    total.  A non-finite value raises (the tail does not decay), and so does
+    a run past ``_MAX_PANELS`` panels (the measure has more jumps than the
+    panels can resolve); the panels that ``levels`` add do not count.
+
+    A smooth mode gives a measure that starts like the square root of t, at
+    t = 0 or at a break where a component enters.  So each segment from 0 or
+    a break to the next break or power of 2 is integrated in s, t = o + s^2
+    with o the segment's start and dt = 2 s ds, where such a start is smooth;
+    the segments that start at a power of 2 are integrated in t.
+
+    Without ``levels``, returns the k totals.  With levels u (an array of
+    positive values), returns the totals and an (n, k) array: the integrals
+    over t up to -log(u / vmax), that is of G from u to max f, 0 for u at or
+    above the maximum.  Each level is a first-panel edge, so the integral up
+    to it is a cumulative sum of whole panels; every panel records the first
+    panel it was bisected from, which places it on its side of each level
+    exactly.
+    """
+    vmax = float(f.max_value)
+    end = math.log(vmax) + 745.0
+
+    def integrand(t):
+        u = vmax * np.exp(-t)
+        live = u > 0.0
+        # an overflow shows as a non-finite value, which the panel loop rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = np.asarray(g_of_u(np.where(live, u, vmax)), dtype=np.float64)
+            return g * np.where(live, u, 0.0)[:, None]
+
+    def fail():
+        return ValueError(f"{what} quadrature did not converge: tail not decaying")
+
+    # segments start at 0, at the breaks and at powers of 2, all below T; those
+    # that start at 0 or at a break are mapped
+    anchors = {0.0, *_level_breaks(f)}
+    stops = sorted(anchors.union(2.0**k for k in range(math.ceil(math.log2(end)))))
+    mapped, stops = np.array([s in anchors for s in stops]), np.array(stops)
+    if levels is None:
+        edges = np.append(stops, end)
+    else:
+        at = np.clip(-np.log(np.asarray(levels, dtype=np.float64) / vmax), 0.0, end)
+        edges = np.unique(np.concatenate([stops, [end], at]))
+    seg = np.searchsorted(stops, edges[:-1], side="right") - 1
+    sq = mapped[seg]
+    o = np.where(sq, stops[seg], 0.0)
+    lo, hi = edges[:-1] - o, edges[1:] - o
+    lo, hi = np.where(sq, np.sqrt(lo), lo), np.where(sq, np.sqrt(hi), hi)
+    origin = np.arange(lo.size)
+    kept_sum = kept_err = 0.0
+    kept_origin, kept_value = [], []
+    panels = stops.size
+    while True:
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        x = mid[:, None] + half[:, None] * _NODES
+        t = np.where(sq[:, None], o[:, None] + x * x, x)
+        vals = integrand(t.ravel()).reshape(lo.size, _NODES.size, -1)
+        if not np.all(np.isfinite(vals)):
+            raise fail()
+        vals *= np.where(sq[:, None], 2.0 * x, 1.0)[:, :, None]
+        rules = np.matmul(vals.transpose(0, 2, 1), _WEIGHTS)
+        value = half[:, None] * rules[:, :, 0]
+        err = half[:, None] * np.abs(rules[:, :, 0] - rules[:, :, 1])
+        tol = _LEVEL_RTOL * np.maximum(1.0, np.abs(kept_sum + value.sum(axis=0)))
+        share = np.where(sq, (hi - lo) * (hi + lo), hi - lo) / end
+        todo = np.any(err > tol * share[:, None], axis=1)
+        kept_sum = kept_sum + value[~todo].sum(axis=0)
+        kept_err = kept_err + err[~todo].sum(axis=0)
+        kept_origin.append(origin[~todo])
+        kept_value.append(value[~todo])
+        if not todo.any() or np.all(kept_err + err[todo].sum(axis=0) <= tol):
+            total = kept_sum + value[todo].sum(axis=0)
+            kept_origin.append(origin[todo])
+            kept_value.append(value[todo])
+            break
+        panels += int(np.count_nonzero(todo))
+        if panels > _MAX_PANELS:
+            raise ValueError(
+                f"{what} quadrature did not converge: more than {_MAX_PANELS} panels; "
+                "the measure has more jumps than the panels can resolve"
+            )
+        lo, mid, hi = lo[todo], mid[todo], hi[todo]
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        o, sq, origin = (np.tile(a[todo], 2) for a in (o, sq, origin))
+    # a u-side integrand still flat at t ~ 300 (u ~ vmax * e^-300) means the
+    # integral diverges; the finite t range would truncate it to a confident
+    # finite value that the panel error estimate cannot see
+    at300, at600 = np.abs(integrand(np.array([300.0, 600.0])))
+    if np.any((at300 > 1e-12 * np.maximum(1.0, np.abs(total))) & (at600 > 0.5 * at300)):
+        raise fail()
+    if levels is None:
+        return total
+    origin, value = np.concatenate(kept_origin), np.concatenate(kept_value)
+    per_panel = [np.bincount(origin, weights=col, minlength=edges.size - 1) for col in value.T]
+    upto = np.vstack([np.zeros(value.shape[1]), np.cumsum(np.column_stack(per_panel), axis=0)])
+    return total, upto[np.searchsorted(edges, at)]
 
 
 def _layer_cake(w, lo, hi):

@@ -1,5 +1,7 @@
 """Entropy gauges, DR entropies and moments, binary joint stationary points."""
 
+import copy
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -21,7 +23,7 @@ from drmaj.entropy import (
     moments_dr,
 )
 from drmaj.families import dr_beta32, dr_exp_iid, dr_exp_rate, dr_mvn
-from drmaj.order import OrderVerdict, majorizes_discrete
+from drmaj.order import OrderVerdict, _slice_integrals, majorizes_discrete
 from drmaj.rearrange import DrPdf, Measure, TabulatedFn
 
 
@@ -109,6 +111,44 @@ def test_moments_share_one_level_quadrature():
     second = _level_quad(f, lambda u: f.measure_at(u)[:, None] ** 3 / 3.0, "second")[0]
     assert mean == pytest.approx(first, rel=1e-12)
     assert var + mean**2 == pytest.approx(second, rel=1e-12)
+
+
+def _counting(f):
+    # f with a measure that records the number of levels of each evaluation
+    sizes = []
+    m = f.measure
+
+    def fn(v):
+        sizes.append(v.size)
+        return m.fn(v)
+
+    g = copy.copy(f)
+    g.measure = Measure(fn, m.vmax, m.breaks, m.jumps, m.exact)
+    return g, sizes
+
+
+def _slices_at_512(f):
+    return _slice_integrals(f, np.geomspace(f.max_value * (1.0 - 1e-9), f.max_value * 1e-8, 512))
+
+
+@pytest.mark.parametrize("functional", [entropy_dr, moments_dr, _slices_at_512])
+@pytest.mark.parametrize("expr", ["mvn:n=1", "dmix(mvn:n=1,var=0.7, mvn:n=1,var=2)"])
+def test_square_root_starts_take_one_panel_pass(expr, functional):
+    # a smooth 1-d mode starts its measure like sqrt(t), at t = 0 and where
+    # the wider normal enters; the segments from there are integrated in
+    # s = sqrt(t - o), so the first panels already meet the tolerance
+    f, sizes = _counting(eval_expr(expr).pdf)
+    functional(f)
+    assert len(sizes) == 2  # one pass over the panels, then the two-point tail probe
+
+
+@pytest.mark.parametrize("gamma", [0.5, 2.0])
+@pytest.mark.parametrize("var", [0.3, 2.0])
+def test_tsallis_entropy_of_a_normal(gamma, var):
+    # int f (1 - f^gamma) / gamma, with int f^(1 + gamma) = (2 pi var)^(-gamma/2) (1 + gamma)^(-1/2)
+    f, _ = dr_mvn(1, var)
+    want = (1.0 - (2.0 * np.pi * var) ** (-gamma / 2.0) / np.sqrt(1.0 + gamma)) / gamma
+    assert entropy_dr(f, EntropyKind.tsallis(gamma)) == pytest.approx(want, abs=1e-10)
 
 
 def test_tabulated_path_agrees_with_exact_measure():

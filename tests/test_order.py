@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from conftest import continuous_comparable_pair, discrete_comparable_pair
-from drmaj.algebra import direct_mix_discrete, inverse_mix_discrete
+from drmaj.algebra import direct_mix_discrete, eval_expr, inverse_mix_discrete
 from drmaj.entropy import entropy_discrete
 from drmaj.families import dr_exp_iid, dr_family, dr_mvn, parse_family
 from drmaj.order import (
@@ -424,18 +425,68 @@ def test_slice_integrals_match_loop(steps, widths, levels):
     assert np.max(np.abs(_slice_integrals(pdf, c) - _loop_slice_integrals(z, v, c))) <= 1e-12
 
 
+def _normal_slice(c):
+    # N(0, 1) rearranges to phi(z / 2): m(c) = 2 sqrt(2 log(1 / (c sqrt(2 pi)))) and
+    # F(z) = erf(z / (2 sqrt 2))
+    m = 2.0 * np.sqrt(2.0 * np.log(1.0 / (c * np.sqrt(2.0 * np.pi))))
+    return erf(m / (2.0 * np.sqrt(2.0))) - c * m
+
+
+def _exp_slice(c):
+    return np.where(c < 1.0, 1.0 - c + c * np.log(np.minimum(c, 1.0)), 0.0)
+
+
+def _rate_slice(c, theta):
+    c = np.minimum(c, theta)
+    return 1.0 - c / theta - c * np.log(theta / c) / theta
+
+
 @pytest.mark.parametrize(
     "spec, slice_fn",
     [
-        ("exp:n=1", lambda c: 1.0 - c + c * np.log(c)),
-        ("exprate:theta=0.5", lambda c: 1.0 - c / 0.5 - c * np.log(0.5 / c) / 0.5),
+        ("exp:n=1", lambda c: _exp_slice(c)),
+        ("exprate:theta=0.5", lambda c: _rate_slice(c, 0.5)),
+        ("mvn:n=1", lambda c: _normal_slice(c)),
     ],
 )
 def test_slice_integrals_of_closed_forms(spec, slice_fn):
     # S(c) = integral of (f~ - c)_+ in closed form, on slice_compare's 512 levels
     f, _ = dr_family(parse_family(spec))
     c = np.geomspace(f.max_value * (1.0 - 1e-9), f.max_value * 1e-8, 512)
-    assert np.max(np.abs(_slice_integrals(f, c) - slice_fn(c))) <= 1e-7
+    assert np.max(np.abs(_slice_integrals(f, c) - slice_fn(c))) <= 1e-12
+
+
+def test_slice_integrals_of_a_stretched_normal():
+    # S(c) = F(m(c)) - c m(c): the mass of [0, m(c)] less the rectangle under c;
+    # the maximum is 1e22 and the measure grows like t^10 in t = log(max / c)
+    f, F = dr_family(parse_family("mvn:n=20,var=0.001"))
+    c = np.geomspace(f.max_value * (1.0 - 1e-9), f.max_value * 1e-8, 512)
+    m = f.measure_at(c)
+    assert np.max(np.abs(_slice_integrals(f, c) - (F(m) - c * m))) <= 1e-12
+
+
+def test_slice_integrals_of_a_mix_at_its_break():
+    # the inverse mix's measure is m1(c / (1 - a)) + m2(c / a), so its slice
+    # integral is (1 - a) S1(c / (1 - a)) + a S2(c / a); the second component
+    # enters at its scaled maximum 0.15, a kink of the measure, and nothing is
+    # left above the maximum
+    a = 0.3
+    f = eval_expr(f"mix(exp:n=1, exprate:theta=0.5, alpha={a})").pdf
+    top = f.max_value
+    c = np.geomspace(top * (1.0 - 1e-9), top * 1e-8, 512)
+    c = np.concatenate([c, 0.15 * np.array([1.0, 1.0 - 1e-12, 1.0 + 1e-12]), [top, 2.0 * top]])
+    want = (1.0 - a) * _exp_slice(c / (1.0 - a)) + a * _rate_slice(c / a, 0.5)
+    assert np.max(np.abs(_slice_integrals(f, c) - want)) <= 1e-12
+
+
+def test_slice_compare_of_a_step_measure():
+    # the crossing meet's tabulated slopes give a step measure with thousands
+    # of jumps, which the level-side panels cannot resolve: its slices take the
+    # prefix sum of its table
+    f = eval_expr("otimes(meet(mvn:n=1, exp:n=1), exp:n=1)").pdf
+    assert f.measure.exact and f.measure.jumps.size
+    g, _ = dr_exp_iid(1)
+    assert slice_compare(f, g) is OrderVerdict.PRECEDES
 
 
 def test_slice_integrals_at_the_edge_levels():
