@@ -109,6 +109,8 @@ ROWS = {
     "_concave_flag, 20001 knots": (concave_inputs, rearrange._concave_flag),
     "_concave_flag, cdf of mix(exp:n=1, exp:n=2)": (mix_cdf_knots, rearrange._concave_flag),
     "cdf_of_dr, tabulated, 16385 knots": (uniform_table_pdf, rearrange.cdf_of_dr),
+    "pdf_of_cdf, exp:n=1's tabulated cdf":
+        (lambda: (rearrange.DrCdf(table=cdf("exp:n=1").tabulated()),), rearrange.pdf_of_cdf),
     "_mass_quantile(exp:n=1, 1 - 1e-6), convolve_dr's step":
         (lambda: (pdf("exp:n=1"), 1.0 - 1e-6), algebra._mass_quantile),
     "compare_cdfs(exp2, exp1)": (lambda: (cdf("exp:n=2"), cdf("exp:n=1")), order.compare_cdfs),

@@ -30,7 +30,9 @@ from .rearrange import (
     DrPdf,
     Measure,
     TabulatedFn,
+    _dilated_grid,
     _layer_cake,
+    _pieces,
     _swap_axes_to_table,
     cdf_of_dr,
     dr_from_density_1d,
@@ -229,9 +231,9 @@ def _measure_of_cdf(F):
     """
     if F.pdf is not None:
         return F.pdf.measure
-    table = F.tabulated()
-    widths = np.diff(table.grid)
-    slopes = np.diff(table.values) / widths
+    g, v = _pieces(F.tabulated())
+    widths = np.diff(g)
+    slopes = np.diff(v) / widths
     step = _layer_cake(widths, slopes, slopes)
     return Measure(step, slopes.max(), jumps=np.unique(slopes))
 
@@ -268,7 +270,7 @@ def otimes_power(F, k):
         # an inexact measure is left for the scaled pdf to interpolate anew
         measure = p.measure.dilated(k) if p.measure.exact else None
         if p.table is not None:
-            table = TabulatedFn(p.table.grid * k, p.table.values / k, "nonincreasing")
+            table = TabulatedFn(_dilated_grid(p.table.grid, k), p.table.values / k, "nonincreasing")
             scaled_pdf = DrPdf(table=table, measure=measure, mass_tol=1e-4)
         else:
             scaled_pdf = DrPdf(
@@ -279,7 +281,7 @@ def otimes_power(F, k):
             )
     if F.table is not None:
         return DrCdf(
-            table=TabulatedFn(F.table.grid * k, F.table.values, "nondecreasing"),
+            table=TabulatedFn(_dilated_grid(F.table.grid, k), F.table.values, "nondecreasing"),
             pdf=scaled_pdf,
             require_concave=F.concave,
         )
@@ -406,9 +408,9 @@ def detect_kink(f):
         table = f
     else:
         raise TypeError("detect_kink expects a DrPdf or TabulatedFn")
-    keep = table.values > table.values[0] * 1e-9
-    z = table.grid[keep]
-    logf = np.log(table.values[keep])
+    z, v = _pieces(table)
+    keep = v > v[0] * 1e-9
+    z, logf = z[keep], np.log(v[keep])
     if z.size < 6:
         raise ValueError("table too short for kink detection")
     slopes = np.diff(logf) / np.diff(z)

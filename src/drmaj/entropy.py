@@ -28,8 +28,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .order import ProbMatrix, ProbVector
-# _level_breaks is not used here, but stays importable from this module
-from .rearrange import DrPdf, _level_breaks, _level_quad  # noqa: F401
+from .rearrange import DrPdf, _level_quad
 
 __all__ = [
     "EntropyKind",

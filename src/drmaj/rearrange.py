@@ -41,9 +41,6 @@ __all__ = [
     "eval_cdf",
 ]
 
-#: gap between a tabulated step's two knots; on a table shorter than 1, that fraction of it
-KNOT_GAP = 1e-12
-
 #: resolution of a closed form's table (see :func:`_sample_points`)
 TABLE_POINTS = 8193
 
@@ -107,8 +104,9 @@ class TabulatedFn:
     Parameters
     ----------
     grid : array_like
-        Strictly increasing abscissae.  Step discontinuities are represented
-        by two knots ``KNOT_GAP`` apart rather than duplicated abscissae.
+        Strictly increasing abscissae.  A step discontinuity at ``z`` is
+        two knots, ``z`` and the next double after it, rather than a
+        duplicated abscissa.
     values : array_like
         Function values at the knots.
     monotone : {'nonincreasing', 'nondecreasing', 'none'}
@@ -866,37 +864,50 @@ def _bisect_increasing(fn, targets, lo, hi, iters=80):
 # ---------------------------------------------------------------------------
 
 
-def _after(z, extent):
-    """Knot just after ``z`` on a table reaching ``extent``: ``KNOT_GAP`` times
-    ``min(1, extent)`` further on, or the next double if that rounds away."""
-    return np.maximum(z + KNOT_GAP * min(1.0, extent), np.nextafter(z, np.inf))
+def _first_of_repeats(zs, vs):
+    """Knots ``zs`` (nondecreasing) and values ``vs``, keeping the first of each repeated z.
 
-
-def _settle(x, step):
-    """Solve ``x[k] = step(k, x[k - 1])`` for ``k >= 1`` in place; ``x[0]`` is given.
-
-    ``step`` maps index and predecessor arrays elementwise.  Each pass
-    recomputes only the entries whose predecessor moved in the previous
-    pass, so the passes number one more than the longest chain of knots
-    pushing one another along; ``x`` is the starting guess.
+    A step's second knot is one double after its first, so on strictly
+    increasing first knots it can only land on the next one; that entry
+    knot is then the one dropped.
     """
-    todo = np.arange(1, x.size)
-    while todo.size:
-        new = step(todo, x[todo - 1])
-        moved = todo[new != x[todo]]
-        x[todo] = new
-        todo = moved[moved < x.size - 1] + 1
-    return x
+    keep = np.append(True, np.diff(zs) > 0)
+    return zs[keep], vs[keep]
+
+
+def _pieces(table):
+    """Knots and values of ``table`` without any knot one double after its predecessor.
+
+    Such a piece is a step's second knot, and its slope is rounding noise;
+    the slope readers see the step's rise folded into the next piece.
+    """
+    g = table.grid
+    keep = np.append(True, g[1:] > np.nextafter(g[:-1], np.inf))
+    return g[keep], table.values[keep]
+
+
+def _dilated_grid(grid, k):
+    """``grid * k`` for a nonnegative grid, each step kept one double wide.
+
+    A knot one double after its predecessor stays so, and a knot that rounding
+    leaves not beyond its predecessor moves one double beyond it: on
+    nonnegative doubles, where the next double is the next bit pattern, one
+    running maximum of ``bits - i``.
+    """
+    i = np.arange(grid.size)
+    bits = (grid * k).view(np.int64) - i
+    bits[1:][grid[1:] == np.nextafter(grid[:-1], np.inf)] = np.iinfo(np.int64).min
+    return (np.maximum.accumulate(bits) + i).view(np.float64)
 
 
 def _swap_axes_to_table(measures, thresholds, max_value):
     """Turn (threshold, measure) samples into a strictly increasing DR table.
 
-    Thresholds fall and measures rise; each run of thresholds sharing one
-    measure becomes an entry knot at that measure and, for runs longer than
-    one threshold, a gap knot just after it carrying the run's last value.
-    An entry knot that would not lie beyond the previous knot is dropped,
-    and a gap knot then follows the previous knot instead.
+    Thresholds fall strictly from at most ``max_value``, and measures rise;
+    each run of thresholds sharing one measure becomes an entry knot at that
+    measure and, for runs longer than one threshold, a step's second knot
+    one double after it carrying the run's last value
+    (:func:`_first_of_repeats`).
     """
     n = measures.size
     # a run lasts while measures stay at or below its first one
@@ -904,21 +915,12 @@ def _swap_axes_to_table(measures, thresholds, max_value):
     starts = np.concatenate([[0], np.flatnonzero(measures[1:] > top[:-1]) + 1])
     ends = np.append(starts[1:] - 1, n - 1)
     z = measures[starts]
-    multi = ends > starts
-    extent = float(top[-1])
-
-    def last_knot(r, prev):
-        base = np.maximum(z[r - 1], prev)
-        return np.where(multi[r - 1], _after(base, extent), base)
-
-    # last[r + 1]: the last knot once run r is placed; last[0] is z = 0
-    last = _settle(np.concatenate([[0.0], np.where(multi, _after(z, extent), z)]), last_knot)
-    knots = np.column_stack([z, last[1:]])
+    knots = np.column_stack([z, np.nextafter(z, np.inf)])
     vals = np.column_stack([thresholds[starts], thresholds[ends]])
-    emit = np.column_stack([z > last[:-1], multi])
-    zs = np.concatenate([[0.0], knots[emit]])
-    vs = np.concatenate([[max_value], vals[emit]])
-    vs = np.minimum.accumulate(vs)
+    emit = np.column_stack([np.ones(z.size, dtype=bool), ends > starts])
+    zs, vs = _first_of_repeats(
+        np.concatenate([[0.0], knots[emit]]), np.concatenate([[max_value], vals[emit]])
+    )
     return TabulatedFn(zs, vs, "nonincreasing")
 
 
@@ -933,8 +935,8 @@ def _rearranged_samples(z, fz):
     form a suffix, counted in full by one ``bincount`` and a suffix sum; a
     piece adds its linear part at each rank strictly between its two ends,
     one (rank, piece) pair at a time.  The interpolant is 0 beyond its
-    support, so a DR still positive at z = m(min f) steps down to 0 just
-    after it.
+    support, so a DR still positive at z = m(min f) steps down to 0 one
+    double after it.
     """
     order = np.argsort(fz, kind="stable")
     distinct = np.append(True, np.diff(fz[order]) > 0)
@@ -956,9 +958,8 @@ def _rearranged_samples(z, fz):
     zs = np.maximum.accumulate(np.insert(m, r + 1, m[r] - runs[r])[::-1])
     vs = np.insert(v, r + 1, v[r])[::-1]
     if v[0] > 0.0:
-        zs, vs = np.append(zs, _after(zs[-1], zs[-1])), np.append(vs, 0.0)
-    keep = np.append(True, np.diff(zs) > 0)
-    return zs[keep], vs[keep]
+        zs, vs = np.append(zs, np.nextafter(zs[-1], np.inf)), np.append(vs, 0.0)
+    return _first_of_repeats(zs, vs)
 
 
 def dr_from_density_1d(f, normalize=True):
@@ -1012,7 +1013,9 @@ def cdf_of_dr(f):
 
     Cumulative trapezoidal integration on :meth:`DrPdf.tabulated` (a table's
     knots, or ~49k points of a closed form), clamped monotone.  The total must
-    land within 1e-4 of 1; the curve is then rescaled to end exactly at 1.
+    land within 1e-4 of 1; the curve is then rescaled to end exactly at 1.  A
+    step pdf's two knots one double apart become a one-double cdf piece,
+    whose slope the readers skip (:func:`_pieces`).
 
     Returns
     -------
@@ -1035,27 +1038,21 @@ def pdf_of_cdf(F):
     """Recover a step DR pdf from a concave piecewise-linear DR cdf.
 
     The derivative of a concave piecewise-linear cdf is a nonincreasing step
-    function; steps are stored with the adjacent-knot convention.  A closed
-    form is first tabulated (:meth:`DrCdf.tabulated`).
+    function: the slope of each piece that :func:`_pieces` reads, with a
+    step at each inner knot to the next double after it.  Those pieces are
+    at least two doubles apart, so the knots stay strictly increasing.  A
+    closed form is first tabulated (:meth:`DrCdf.tabulated`).
     """
     if not isinstance(F, DrCdf):
         raise TypeError("pdf_of_cdf expects a DrCdf")
     if not F.concave:
         raise ValueError("cdf is not concave; its derivative is not a DR pdf")
-    table = F.tabulated()
-    g = table.grid
-    v = table.values
+    g, v = _pieces(F.tabulated())
     slopes = np.minimum.accumulate(np.maximum(np.diff(v) / np.diff(g), 0.0))
-    # each inner knot g becomes g (left slope) and _after(g) (right slope);
-    # a knot not beyond its predecessor moves to just after it
+    # each inner knot g becomes g (left slope) and the next double (right slope)
     inner = g[1:-1]
-    end = g[-1]
-    raw = np.concatenate([[0.0], np.column_stack([inner, _after(inner, end)]).ravel(), [end]])
-
-    def beyond(k, prev):
-        return np.where(raw[k] > prev, raw[k], _after(prev, end))
-
-    zs = _settle(raw.copy(), beyond)
+    steps = np.column_stack([inner, np.nextafter(inner, np.inf)]).ravel()
+    zs = np.concatenate([[0.0], steps, [g[-1]]])
     table = TabulatedFn(zs, np.repeat(slopes, 2), "nonincreasing")
     return DrPdf(table=table, mass_tol=1e-3)
 

@@ -26,10 +26,10 @@ from drmaj.algebra import (
     otimes_power,
     scalar_scale,
 )
-from drmaj.entropy import SHANNON, _level_breaks, entropy_dr, moments_dr
+from drmaj.entropy import SHANNON, entropy_dr, moments_dr
 from drmaj.families import dr_exp_iid, dr_exp_rate, dr_family, dr_mvn
 from drmaj.order import OrderVerdict, majorizes_cdf, majorizes_discrete
-from drmaj.rearrange import DrPdf, TabulatedFn, cdf_of_dr, pdf_of_cdf
+from drmaj.rearrange import DrCdf, DrPdf, TabulatedFn, _level_breaks, cdf_of_dr, pdf_of_cdf
 
 LOG2 = np.log(2.0)
 
@@ -129,6 +129,12 @@ def test_no_kink_on_smooth_dr():
     assert detect_kink(f.tabulated(4097)) is None
 
 
+def test_no_kink_on_a_step_pdf():
+    # the steps of pdf_of_cdf are one double wide; their log-slopes are noise
+    F = DrCdf(table=dr_exp_iid(1)[1].tabulated(513))
+    assert detect_kink(pdf_of_cdf(F)) is None
+
+
 def test_self_mixes():
     f, _ = dr_exp_iid(1)
     z = np.linspace(0.0, 25.0, 1001)
@@ -219,6 +225,18 @@ def test_otimes_power_keeps_the_level_breaks():
     assert len(want) == 1 and want[0] == pytest.approx(0.8473, abs=1e-4)
     assert _level_breaks(powered.pdf) == pytest.approx(want, abs=1e-12)
     assert np.array_equal(powered.pdf.measure.breaks, mixed.pdf.measure.breaks / 2.2)
+
+
+@pytest.mark.parametrize("k", [1.5, 3.0])
+def test_otimes_power_of_a_step_pdf(k):
+    # the steps of pdf_of_cdf and the one-double pieces of their cdf stay one
+    # double wide under a dilation by k, so neither table merges knots
+    f = pdf_of_cdf(DrCdf(table=dr_exp_iid(1)[1].tabulated()))
+    powered = otimes_power(DrCdf(table=cdf_of_dr(f).table, pdf=f), k)
+    assert entropy_dr(powered.pdf) == pytest.approx(entropy_dr(f) + np.log(k), abs=1e-8)
+    again = pdf_of_cdf(DrCdf(table=powered.table))
+    assert np.trapezoid(again.table.values, again.table.grid) == pytest.approx(1.0, abs=1e-12)
+    assert entropy_dr(again) == pytest.approx(entropy_dr(powered.pdf), abs=1e-8)
 
 
 @pytest.mark.parametrize("k", [np.inf, -np.inf, np.nan, 0.5])

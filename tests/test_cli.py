@@ -62,7 +62,7 @@ def test_family_table_follows_the_mass_of_a_stretched_dr(tmp_path, capsys):
 
 
 def test_family_table_of_a_tiny_extent_reads_back(tmp_path, capsys):
-    # the table ends at z = 1.3e-12, so the knot gap of its steps scales with it
+    # the table ends at z = 1.3e-12; its steps are one double wide, so they scale with it
     rc, out, err = run(capsys, "family", "mvn:n=2,var=1e-14", "--json", "--out", str(tmp_path))
     assert rc == 0, err
     h = entropy_dr(eval_expr(out.splitlines()[1]).pdf)
@@ -146,6 +146,22 @@ def test_expr_otimes_table_feeds_entropy(tmp_path, capsys):
     assert np.array_equal(written.grid, eval_expr(expr).cdf.table.grid)
     rc, _, err = run(capsys, "entropy", cdf_path)
     assert rc == 0, err
+
+
+def test_step_pdf_table_reads_back_through_its_cdf(tmp_path, capsys):
+    # family cdf -> its step pdf -> that pdf's cdf -> entropy: a one-double
+    # cdf piece of a step read 0 as its slope and zeroed every slope after it
+    rc, out, err = run(capsys, "family", "exp:n=3", "--out", str(tmp_path))
+    assert rc == 0, err
+    cdf_path = out.splitlines()[1]
+    rc, out, err = run(capsys, "expr", cdf_path, "--out", str(tmp_path))
+    assert rc == 0, err
+    step_pdf_path = out.splitlines()[0]
+    assert step_pdf_path.endswith("_pdf.csv")
+    rc, out, err = run(capsys, "expr", step_pdf_path, "--out", str(tmp_path))
+    assert rc == 0, err
+    payload = run_json(capsys, "entropy", out.splitlines()[-1])
+    assert payload["shannon"] == pytest.approx(3.0, abs=1e-6)
 
 
 def test_expr_parse_error_is_usage(capsys):

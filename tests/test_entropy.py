@@ -200,6 +200,7 @@ def test_mix_with_convolution_operand(op, scale):
         ("cdf", "dmix(LEAF, exp:n=1, alpha=0.3)"),
         ("cdf", "otimes(LEAF, exp:n=1)"),
         ("cdf", "pow(LEAF, 2)"),
+        ("cdf", "pow(LEAF, 3)"),
     ],
 )
 def test_mix_with_file_leaf(tmp_path, table, expr):

@@ -15,7 +15,6 @@ from drmaj.entropy import entropy_dr
 from drmaj.families import dr_beta32, dr_exp_iid, dr_family
 from drmaj.order import compare_cdfs
 from drmaj.rearrange import (
-    KNOT_GAP,
     DensityFn,
     DrCdf,
     DrPdf,
@@ -31,6 +30,7 @@ from drmaj.rearrange import (
     pdf_of_cdf,
     _layer_cake,
     _concave_flag,
+    _dilated_grid,
     _swap_axes_to_table,
 )
 
@@ -372,18 +372,51 @@ def test_random_step_tables_build_valid_drs(raw_vals, raw_gaps):
 
 
 def test_pdf_of_cdf_steps_far_from_zero():
-    # 5e4 + KNOT_GAP rounds to 5e4, so the step's second knot is the next double
+    # a step's second knot is the next double, at any scale
     F = DrCdf(table=TabulatedFn([0.0, 5e4, 1e5], [0.0, 0.8, 1.0]))
     f = pdf_of_cdf(F)
     assert np.array_equal(f.table.grid, [0.0, 5e4, np.nextafter(5e4, np.inf), 1e5])
     assert np.allclose(f.table.values, [1.6e-5, 1.6e-5, 4e-6, 4e-6], rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("spec", ["exp:n=1", "exp:n=3"])
+def test_step_pdf_round_trips_through_its_cdf(spec):
+    # the cdf of a step pdf holds one-double pieces whose slopes are rounding
+    # noise; a noise slope of 0 once cut every later slope to 0
+    f1 = pdf_of_cdf(DrCdf(table=dr_family(spec)[1].tabulated()))
+    f2 = pdf_of_cdf(DrCdf(table=cdf_of_dr(f1).table))
+    assert np.trapezoid(f2.table.values, f2.table.grid) == pytest.approx(1.0, abs=1e-12)
+    assert entropy_dr(f2) == pytest.approx(entropy_dr(f1), abs=1e-8)
+
+
+def test_step_pdf_adds_no_mass_to_its_cdf():
+    # a step's second knot one double on adds no trapezoid mass beyond the cdf's rise
+    table = dr_family("exp:n=1")[1].tabulated()
+    f = pdf_of_cdf(DrCdf(table=table))
+    assert np.trapezoid(f.table.values, f.table.grid) == pytest.approx(table.values[-1], abs=1e-14)
+
+
+@given(
+    st.floats(min_value=0.1, max_value=100.0),
+    st.floats(min_value=1.0, max_value=3.0),
+    st.lists(st.tuples(st.sampled_from([2, 3, 4, 10**6]), st.booleans()), min_size=1, max_size=30),
+)
+def test_dilated_grid_keeps_steps_one_double_wide(x, k, pieces):
+    # knots a few doubles apart, some followed by a step's second knot; grid * k
+    # alone can merge a pair or push a second knot onto the next knot
+    offsets = np.cumsum([d for gap, step in pieces for d in ([gap, 1] if step else [gap])])
+    grid = np.append(0.0, (np.float64(x).view(np.int64) + offsets).view(np.float64))
+    out = _dilated_grid(grid, k)
+    assert np.all(np.diff(out) > 0.0)
+    one = grid[1:] == np.nextafter(grid[:-1], np.inf)
+    assert np.array_equal(out[1:][one], np.nextafter(out[:-1][one], np.inf))
+    assert np.allclose(out, grid * k, rtol=1e-14, atol=0.0)
+
+
 # References: the knot loops that the array forms replaced.
 
 
 def _loop_swap(measures, thresholds, max_value):
-    gap = KNOT_GAP * min(1.0, float(np.max(measures)))
     zs = [0.0]
     vs = [max_value]
     n = measures.size
@@ -393,41 +426,39 @@ def _loop_swap(measures, thresholds, max_value):
         while j + 1 < n and measures[j + 1] - measures[i] <= 0.0:
             j += 1
         z = float(measures[i])
-        if z > zs[-1]:
-            zs.append(z)
-            vs.append(float(thresholds[i]))
+        knots = [(z, float(thresholds[i]))]
         if j > i:
-            zs.append(max(z, zs[-1]) + gap)
-            vs.append(float(thresholds[j]))
+            knots.append((float(np.nextafter(z, np.inf)), float(thresholds[j])))
+        for knot, value in knots:
+            if knot > zs[-1]:
+                zs.append(knot)
+                vs.append(value)
         i = j + 1
-    zs = np.asarray(zs)
-    for k in range(1, zs.size):
-        if zs[k] <= zs[k - 1]:
-            zs[k] = zs[k - 1] + gap
-    return zs, np.minimum.accumulate(np.asarray(vs))
+    return np.asarray(zs), np.asarray(vs)
 
 
 def _loop_pdf_of_cdf(F):
-    g = F.table.grid
-    gap = KNOT_GAP * min(1.0, float(g[-1]))
-    slopes = np.minimum.accumulate(np.maximum(np.diff(F.table.values) / np.diff(g), 0.0))
+    g, v = [], []
+    for k in range(F.table.grid.size):
+        # a knot one double after its predecessor ends a step: skip it
+        if k == 0 or F.table.grid[k] > np.nextafter(F.table.grid[k - 1], np.inf):
+            g.append(float(F.table.grid[k]))
+            v.append(float(F.table.values[k]))
+    slopes = np.minimum.accumulate(np.maximum(np.diff(v) / np.diff(g), 0.0))
     zs = [0.0]
     vs = [float(slopes[0])]
     for k in range(1, slopes.size):
-        zs.append(float(g[k]))
-        vs.append(float(slopes[k - 1]))
-        zs.append(float(g[k]) + gap)
-        vs.append(float(slopes[k]))
-    zs.append(float(g[-1]))
-    vs.append(float(slopes[-1]))
-    zs = np.asarray(zs)
-    for k in range(1, zs.size):
-        if zs[k] <= zs[k - 1]:
-            zs[k] = zs[k - 1] + gap
-    return zs, np.asarray(vs)
+        for knot, value in ((g[k], slopes[k - 1]), (float(np.nextafter(g[k], np.inf)), slopes[k])):
+            if knot > zs[-1]:
+                zs.append(knot)
+                vs.append(float(value))
+    if g[-1] > zs[-1]:
+        zs.append(g[-1])
+        vs.append(float(slopes[-1]))
+    return np.asarray(zs), np.asarray(vs)
 
 
-#: measure steps: mostly none (long equal runs), some at or below KNOT_GAP
+#: measure steps: mostly none (long equal runs), some under the spacing of doubles at 3e4 (3.6e-12)
 _STEPS = st.sampled_from([0.0, 0.0, 0.0, 0.0, 1e-13, 5e-13, 1e-12, 2e-12, 1e-4, 0.3])
 
 
@@ -442,13 +473,9 @@ def test_swap_matches_loop(steps, start):
     zs, vs = _loop_swap(measures, thresholds, 1.0)
     if zs.size < 2:
         return
-    if np.all(np.diff(zs) > 0):
-        table = _swap_axes_to_table(measures, thresholds, 1.0)
-        assert np.array_equal(table.grid, zs)
-        assert np.array_equal(table.values, vs)
-    else:
-        # the loop's knots collide where KNOT_GAP rounds away; these stay apart
-        assert np.all(np.diff(_swap_axes_to_table(measures, thresholds, 1.0).grid) > 0)
+    table = _swap_axes_to_table(measures, thresholds, 1.0)
+    assert np.array_equal(table.grid, zs)
+    assert np.array_equal(table.values, vs)
 
 
 @settings(max_examples=300, deadline=None)
@@ -457,8 +484,8 @@ def test_swap_matches_loop(steps, start):
     st.sampled_from([0.0, 0.7, 3e4]),
 )
 def test_concave_flag_reads_knot_gap_pairs_by_width(steps, start):
-    # trapezoid cdfs of swapped step measures: knots KNOT_GAP (or, at 3e4,
-    # one ulp) apart carry slopes that are pure rounding noise
+    # trapezoid cdfs of swapped step measures: knots one double apart carry
+    # slopes that are pure rounding noise
     measures = start + np.cumsum(steps)
     assume(measures[-1] > 0.0)  # else the table is the one knot z = 0
     table = _swap_axes_to_table(measures, np.geomspace(1.0, 1e-2, measures.size), 1.0)
