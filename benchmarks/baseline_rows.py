@@ -8,9 +8,12 @@ Every row of the table except the tier-1 suite: each row runs in a fresh
 ``sys.path``, builds its inputs once, then times ``CALLS`` (7) calls and
 keeps the best.  One process per row keeps the rows apart: what one row
 leaves allocated can move another row's times through the allocator by a
-third.  A round runs every row once per checkout; with two checkouts, the
-one that runs first alternates from round to round.  Prints, per row, the
-best over ``ROUNDS`` (3) rounds in milliseconds, one column per checkout.
+third.  The ``import drmaj`` row instead starts a fresh ``python3`` for
+each of its calls and times the import alone, numpy and scipy included, as
+a short script or CLI run pays it.  A round runs every row once per
+checkout; with two checkouts, the one that runs first alternates from round
+to round.  Prints, per row, the best over ``ROUNDS`` (3) rounds in
+milliseconds, one column per checkout.
 Uses only the standard library; the rows themselves use the library's own
 numpy and scipy.
 """
@@ -24,6 +27,16 @@ from pathlib import Path
 
 CALLS = 7   # timed calls per row, checkout and round
 ROUNDS = 3  # rounds of every row, the checkouts alternated
+
+IMPORT_ROW = "import drmaj, fresh python3"
+
+_IMPORT = r"""
+import sys, time
+sys.path.insert(0, sys.argv[1] + "/src")
+t0 = time.perf_counter()
+import drmaj
+print(1e3 * (time.perf_counter() - t0))
+"""
 
 _ROWS = r"""
 import json, sys, time
@@ -138,14 +151,21 @@ print(json.dumps(1e3 * min(times)))
 """
 
 
-def _child(root, calls, row):
+def _python(root, script, *args):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", _ROWS, str(root), str(calls), row],
+    proc = subprocess.run([sys.executable, "-c", script, str(root), *args],
                           cwd=root, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"{root}: {row}: exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+        what = args[-1] if args else IMPORT_ROW
+        raise RuntimeError(f"{root}: {what}: exited {proc.returncode}:\n{proc.stderr[-2000:]}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _child(root, calls, row):
+    if row == IMPORT_ROW:
+        return min(_python(root, _IMPORT) for _ in range(calls))
+    return _python(root, _ROWS, str(calls), row)
 
 
 def main(argv=None):
@@ -155,7 +175,7 @@ def main(argv=None):
     if len(args.checkouts) > 2:
         ap.error("give one or two checkouts")
     roots = [p.resolve() for p in args.checkouts]
-    rows = _child(roots[0], 1, "-")
+    rows = [IMPORT_ROW, *_child(roots[0], 1, "-")]
     best = {root: {} for root in roots}
     for r in range(ROUNDS):
         for root in (roots if r % 2 == 0 else roots[::-1]):

@@ -30,6 +30,7 @@ from .rearrange import (
     DrPdf,
     Measure,
     TabulatedFn,
+    _cumtrapz,
     _dilated_grid,
     _layer_cake,
     _pieces,
@@ -337,7 +338,7 @@ def _mass_quantile(pdf, frac):
     """
     table = pdf.tabulated(TABLE_POINTS // 8)
     z, v = table.grid, table.values
-    cum = np.cumsum(np.append(0.0, 0.5 * (v[1:] + v[:-1]) * np.diff(z)))
+    cum = _cumtrapz(v, z)
     return float(np.interp(frac * cum[-1], cum, z))
 
 

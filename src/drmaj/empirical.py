@@ -13,13 +13,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.special import ndtr
-from scipy.stats import qmc
 
 from ._kernels import kde_eval
 from .order import ProbVector
-from .rearrange import DrCdf, DrPdf, MeasureFn, TabulatedFn, _swap_axes_to_table
+from .rearrange import DrCdf, DrPdf, MeasureFn, TabulatedFn, _cumtrapz, _swap_axes_to_table
 
 __all__ = [
     "Dataset",
@@ -212,6 +210,8 @@ def _sample_box(box, cfg):
     """Deterministic point set in the box; reproducible from the seed alone."""
     n = box.shape[0]
     if cfg.sampler == "low_discrepancy":
+        from scipy.stats import qmc  # here, so that importing drmaj skips scipy.stats
+
         with warnings.catch_warnings():
             # scipy warns when N is not a power of two; balance loss is fine here
             warnings.simplefilter("ignore", UserWarning)
@@ -270,7 +270,7 @@ def empirical_dr_cdf(dr: DrPdf, z_star) -> DrCdf:
         raise ValueError("z_star must be nonnegative")
     if z[0] > 0.0:
         z = np.concatenate([[0.0], z])
-    cum = cumulative_trapezoid(np.asarray(dr(z), dtype=np.float64), z, initial=0)
+    cum = _cumtrapz(np.asarray(dr(z), dtype=np.float64), z)
     total = float(cum[-1])
     if total < 0.9:
         raise ValueError(

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .order import ProbMatrix, ProbVector
 from .rearrange import DrPdf, _level_quad
@@ -294,4 +293,6 @@ def _tsallis_stationary(alpha, beta, gamma, bound):
         return -math.inf
     if s(hi) <= 0.0:
         return math.inf
+    from scipy.optimize import brentq  # here, so that importing drmaj skips scipy.optimize
+
     return float(brentq(s, lo, hi, xtol=1e-15))

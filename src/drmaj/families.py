@@ -18,7 +18,7 @@ import math
 import re
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .rearrange import DrCdf, DrPdf, Measure
 
@@ -323,6 +323,8 @@ def dr_validate_radial(spec):
     pdf must equal ``f_R(r(z)) r'(z)`` with ``z`` the superlevel volume.
     Returns the sup discrepancy over 512 points up to the 1 - 1e-6 quantile.
     """
+    from scipy import stats  # here, so that importing drmaj skips scipy.stats
+
     if isinstance(spec, str):
         spec = parse_family(spec)
     f, F = dr_family(spec)

@@ -20,6 +20,7 @@ from .rearrange import (
     DrPdf,
     Grid,
     _check_tol,
+    _cumtrapz,
     _dr_of_samples,
     _level_quad,
     cdf_of_dr,
@@ -266,7 +267,7 @@ def _slice_integrals(pdf, c_levels):
         return s[:, 0]
     table = pdf.tabulated()
     z, v = table.grid, np.minimum.accumulate(table.values)  # fp guard
-    s_knots = np.append(0.0, np.cumsum(0.5 * (z[1:] + z[:-1]) * (v[:-1] - v[1:])))
+    s_knots = _cumtrapz(z, -v)  # m = z over the level axis, on which v falls
     j = np.maximum(np.searchsorted(-v, -c_levels, side="right") - 1, 0)
     k = np.minimum(j + 1, v.size - 1)
     d = np.maximum(v[j] - c_levels, 0.0)  # 0 above the maximum, where j = 0

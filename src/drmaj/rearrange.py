@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 __all__ = [
     "Grid",
@@ -1008,6 +1007,15 @@ def _dr_of_samples(z, fz, normalize=True):
     return DrPdf(table=TabulatedFn(zs, vs, "nonincreasing"), mass_tol=None)
 
 
+def _cumtrapz(y, x):
+    """Cumulative trapezoid integral of ``y`` over the knots ``x``, starting at 0.
+
+    scipy's ``cumulative_trapezoid(y, x, initial=0)`` in its own arithmetic,
+    without importing ``scipy.integrate``.
+    """
+    return np.append(0.0, np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0))
+
+
 def cdf_of_dr(f):
     """Integrate a DR pdf into its DR cdf.
 
@@ -1025,7 +1033,7 @@ def cdf_of_dr(f):
     if not isinstance(f, DrPdf):
         raise TypeError("cdf_of_dr expects a DrPdf")
     table = f.tabulated()
-    cum = np.maximum.accumulate(cumulative_trapezoid(table.values, table.grid, initial=0))
+    cum = np.maximum.accumulate(_cumtrapz(table.values, table.grid))
     total = float(cum[-1])
     if abs(total - 1.0) > 1e-4:
         raise ValueError(f"cdf total {total:.6g} is not within 1e-4 of 1; extend the grid")

@@ -30,6 +30,7 @@ from drmaj.rearrange import (
     pdf_of_cdf,
     _layer_cake,
     _concave_flag,
+    _cumtrapz,
     _dilated_grid,
     _swap_axes_to_table,
 )
@@ -411,6 +412,15 @@ def test_dilated_grid_keeps_steps_one_double_wide(x, k, pieces):
     one = grid[1:] == np.nextafter(grid[:-1], np.inf)
     assert np.array_equal(out[1:][one], np.nextafter(out[:-1][one], np.inf))
     assert np.allclose(out, grid * k, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("seed, n", [(1, 2), (2, 3), (3, 17), (4, 1000), (5, 16385)])
+def test_cumtrapz_is_scipys_cumulative_trapezoid(seed, n):
+    # nonuniform knots whose gaps span six decades, and values of both signs
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-5.0, 5.0) + np.append(0.0, np.cumsum(10.0 ** rng.uniform(-6.0, 0.0, n - 1)))
+    y = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    assert np.array_equal(_cumtrapz(y, x), cumulative_trapezoid(y, x, initial=0))
 
 
 # References: the knot loops that the array forms replaced.
