@@ -68,6 +68,11 @@ def swap_inputs():
     t = algebra._value_thresholds(m.vmax, algebra.VALUE_GRID_POINTS)
     return m.fn(t), t, m.vmax
 
+def cdf_points(spec):
+    # a closed-form cdf and 16385 uniform points up to its extent
+    F = cdf(spec)
+    return F, np.linspace(0.0, F.z_hi, 16385)
+
 def concave_inputs():
     z = np.linspace(0.0, 10.0, 20001)
     return z, -np.expm1(-z)
@@ -127,6 +132,11 @@ ROWS = {
     "_mass_quantile(exp:n=1, 1 - 1e-6), convolve_dr's step":
         (lambda: (pdf("exp:n=1"), 1.0 - 1e-6), algebra._mass_quantile),
     "compare_cdfs(exp2, exp1)": (lambda: (cdf("exp:n=2"), cdf("exp:n=1")), order.compare_cdfs),
+    "compare_cdfs(join(mvn:n=1,var=1.3, exp:n=1), exp:n=1)":
+        (lambda: (algebra.join(cdf("mvn:n=1,var=1.3"), cdf("exp:n=1")), cdf("exp:n=1")),
+         order.compare_cdfs),
+    "mvn:n=1 closed-form cdf, 16385 points": (lambda: cdf_points("mvn:n=1"), lambda F, z: F(z)),
+    "exp:n=1 closed-form cdf, 16385 points": (lambda: cdf_points("exp:n=1"), lambda F, z: F(z)),
     "moments_dr + entropy_dr, mix(exp:n=1, exp:n=2)":
         (lambda: (algebra.eval_expr("mix(exp:n=1, exp:n=2)").pdf,),
          lambda f: (entropy.moments_dr(f), entropy.entropy_dr(f))),

@@ -309,8 +309,11 @@ def _lattice(F1, F2, op):
     # crossing pair: close over the inputs rather than tabulate, so the
     # defining pointwise inequalities against F1 and F2 hold exactly
     z_hi = max(F1.effective_support(1e-8), F2.effective_support(1e-8))
+    # max(F1, F2) >= p iff z >= min(Q1(p), Q2(p)); the meet mirrors it
+    q_op = np.minimum if op is np.maximum else np.maximum
     return DrCdf(
         fn=lambda z: op(F1(np.asarray(z, dtype=np.float64)), F2(np.asarray(z, dtype=np.float64))),
+        inverse=None if F1.inverse is None or F2.inverse is None else (lambda p: q_op(F1.inverse(p), F2.inverse(p))),
         z_hi=z_hi,
         require_concave=False,
     )

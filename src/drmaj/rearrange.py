@@ -808,7 +808,15 @@ class DrCdf:
         if self.inverse is not None:
             out = np.asarray(self.inverse(pp), dtype=np.float64)
         elif self.table is not None:
-            out = np.interp(pp, self.table.values, self.table.grid)
+            # the first knot at or above p ends the piece that reaches p, so a
+            # run flat at level p is entered at its start, not left at its end
+            g, v = self.table.grid, self.table.values
+            k = np.searchsorted(v, pp, "left")
+            j = np.clip(k, 1, v.size - 1)
+            dv = v[j] - v[j - 1]
+            # a flat piece is met only below the first knot (t = 0) or past the last (t = 1)
+            t = np.divide(pp - v[j - 1], dv, out=(k > 0).astype(np.float64), where=dv > 0)
+            out = g[j - 1] + np.clip(t, 0.0, 1.0) * (g[j] - g[j - 1])
         else:
             out = _bisect_increasing(self.fn, pp, 0.0, self.z_hi)
         return out if np.asarray(p).ndim else float(out[0])
@@ -908,19 +916,17 @@ def _swap_axes_to_table(measures, thresholds, max_value):
     one double after it carrying the run's last value
     (:func:`_first_of_repeats`).
     """
-    n = measures.size
     # a run lasts while measures stay at or below its first one
     top = np.maximum.accumulate(measures)
-    starts = np.concatenate([[0], np.flatnonzero(measures[1:] > top[:-1]) + 1])
-    ends = np.append(starts[1:] - 1, n - 1)
+    starts = np.flatnonzero(np.append(True, measures[1:] > top[:-1]))
+    ends = np.append(starts[1:], measures.size) - 1
+    long = np.flatnonzero(ends > starts)
     z = measures[starts]
-    knots = np.column_stack([z, np.nextafter(z, np.inf)])
-    vals = np.column_stack([thresholds[starts], thresholds[ends]])
-    emit = np.column_stack([np.ones(z.size, dtype=bool), ends > starts])
-    zs, vs = _first_of_repeats(
-        np.concatenate([[0.0], knots[emit]]), np.concatenate([[max_value], vals[emit]])
-    )
-    return TabulatedFn(zs, vs, "nonincreasing")
+    # (0, max_value) leads; each long run's second knot follows its entry knot
+    at = np.append(0, long + 1)
+    zs = np.insert(z, at, np.append(0.0, np.nextafter(z[long], np.inf)))
+    vs = np.insert(thresholds[starts], at, np.append(max_value, thresholds[ends[long]]))
+    return TabulatedFn(*_first_of_repeats(zs, vs), "nonincreasing")
 
 
 def _rearranged_samples(z, fz):

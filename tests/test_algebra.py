@@ -269,6 +269,25 @@ def test_otimes_of_crossing_meet_has_a_step_pdf():
     assert np.trapezoid(step.table.values, step.table.grid) == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("op", [join, meet])
+def test_crossing_lattice_reads_its_exact_quantile(op):
+    F1, F2 = dr_mvn(1, var=1.3)[1], dr_exp_iid(1)[1]
+    lat = op(F1, F2)
+    assert lat is not F1 and lat is not F2 and lat.inverse is not None
+    p = np.array([1e-6, 0.25, 0.5, 0.9, 1.0 - 1e-8])
+    assert np.all(np.abs(lat(lat.quantile_at(p)) - p) <= 1e-12)
+    searched = DrCdf(fn=lat.fn, z_hi=lat.z_hi, require_concave=False)  # no inverse: bisection
+    assert lat.effective_support(1e-8) == pytest.approx(searched.effective_support(1e-8), rel=1e-8)
+
+
+@pytest.mark.parametrize("op", [join, meet])
+def test_crossing_lattice_of_a_table_has_no_inverse(op):
+    F1, F2 = cdf_of_dr(dr_mvn(1)[0]), dr_exp_iid(1)[1]
+    lat = op(F1, F2)
+    assert lat is not F1 and lat is not F2
+    assert lat.inverse is None
+
+
 def test_otimes_power_chain_spreads():
     _, F = dr_exp_iid(1)
     chain = [otimes_power(F, k) for k in range(1, 5)]

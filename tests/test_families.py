@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from drmaj.families import (
+    _exp_radius,
     ball_volume,
     dr_beta32,
     dr_exp_iid,
@@ -186,6 +187,43 @@ def test_suggested_truncation_captures_mass():
         lo, hi = suggested_truncation(spec)
         assert lo == 0.0
         assert float(F(hi)) >= 1.0 - 2e-8
+
+
+def _gammainc_cdf(spec, z):
+    """The family cdf as ``special.gammainc`` of its order and argument."""
+    n = spec.params["n"]
+    if spec.kind == "mvn":
+        x = np.power(z / ball_volume(n, 1.0), 2.0 / n) / (2.0 * spec.params["var"])
+        return special.gammainc(n / 2.0, x)
+    return special.gammainc(n, _exp_radius(z, n))
+
+
+def _z_grid(F):
+    return np.concatenate([[0.0], np.geomspace(1e-12, 1e3, 4001) * F.z_hi, [F.z_hi]])
+
+
+@pytest.mark.parametrize(
+    "spec_text",
+    ["mvn:n=1,var=0.001", "mvn:n=1", "mvn:n=1,var=1000", "mvn:n=2", "exp:n=1"],
+)
+def test_order_half_and_one_cdfs_match_gammainc(spec_text):
+    # erf(sqrt(x)) and -expm1(-x), the special values of P(1/2, x) and P(1, x)
+    spec = parse_family(spec_text)
+    _, F = dr_family(spec)
+    z = _z_grid(F)
+    got, want = F(z), _gammainc_cdf(spec, z)
+    assert np.all(np.abs(got - want) <= 5e-15)
+    assert np.all(np.abs(got - want) <= 1e-13 * want)
+    assert F.concave
+
+
+@pytest.mark.parametrize("spec_text", ["mvn:n=3", "exp:n=2"])
+def test_other_order_cdfs_are_gammainc(spec_text):
+    spec = parse_family(spec_text)
+    _, F = dr_family(spec)
+    z = _z_grid(F)
+    assert np.array_equal(F(z), _gammainc_cdf(spec, z))
+    assert F.concave
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import special
 from scipy.integrate import cumulative_trapezoid
 
-from drmaj.algebra import inverse_mix
+from drmaj.algebra import VALUE_GRID_POINTS, _value_thresholds, inverse_mix
 from drmaj.entropy import entropy_dr
 from drmaj.families import dr_beta32, dr_exp_iid, dr_family
 from drmaj.order import compare_cdfs
@@ -270,6 +270,15 @@ def test_quantile_at_inverts_the_cdf(route):
             F.quantile_at(bad)
 
 
+def test_quantile_at_enters_a_flat_run_at_its_start():
+    F = DrCdf(
+        table=TabulatedFn([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 0.6, 1.0, 1.0, 1.0]),
+        require_concave=False,
+    )
+    assert F.quantile_at(1.0) == 2.0  # the table's end, 4, is not the smallest z
+    assert F.quantile_at(np.array([0.0, 0.3, 0.6, 0.8])) == pytest.approx([0.0, 0.5, 1.0, 1.5], abs=1e-15)
+
+
 def test_functional_inverse_roundtrip():
     z = np.linspace(0.0, 3.0, 31)
     t = TabulatedFn(z, np.exp(-z), "nonincreasing")
@@ -486,6 +495,40 @@ def test_swap_matches_loop(steps, start):
     table = _swap_axes_to_table(measures, thresholds, 1.0)
     assert np.array_equal(table.grid, zs)
     assert np.array_equal(table.values, vs)
+
+
+def _assert_swap_matches_loop(measures, thresholds, max_value):
+    zs, vs = _loop_swap(measures, thresholds, max_value)
+    table = _swap_axes_to_table(measures, thresholds, max_value)
+    assert np.array_equal(table.grid, zs)
+    assert np.array_equal(table.values, vs)
+    return table
+
+
+def test_swap_matches_loop_on_a_mix_value_grid():
+    # the measures that inverse_mix(exp1, exp2) swaps rise strictly: every run is one threshold
+    m = inverse_mix(dr_exp_iid(1)[0], dr_exp_iid(2)[0]).measure
+    thresholds = _value_thresholds(m.vmax, VALUE_GRID_POINTS)
+    measures = m.fn(thresholds)
+    assert np.all(np.diff(measures) > 0.0)
+    table = _assert_swap_matches_loop(measures, thresholds, m.vmax)
+    assert table.grid.size == measures.size + 1
+
+
+def test_swap_without_long_runs():
+    measures = np.array([0.1, 0.2, 0.5, 0.9, 3.0])
+    table = _assert_swap_matches_loop(measures, np.geomspace(1.0, 1e-3, measures.size), 1.0)
+    assert np.array_equal(table.grid, np.append(0.0, measures))
+
+
+def test_swap_with_long_first_and_last_runs():
+    # the first run sits at measure 0, where (0, max_value) keeps its knot
+    measures = np.array([0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0, 1.0])
+    thresholds = np.geomspace(1.0, 1e-3, measures.size)
+    table = _assert_swap_matches_loop(measures, thresholds, 2.0)
+    tiny = np.nextafter(0.0, np.inf)
+    assert np.array_equal(table.grid, [0.0, tiny, 0.5, 1.0, np.nextafter(1.0, np.inf)])
+    assert np.array_equal(table.values, [2.0, thresholds[2], thresholds[3], thresholds[4], thresholds[7]])
 
 
 @settings(max_examples=300, deadline=None)
