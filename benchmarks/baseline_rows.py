@@ -9,10 +9,11 @@ Every row of the table except the tier-1 suite: each row runs in a fresh
 keeps the best.  One process per row keeps the rows apart: what one row
 leaves allocated can move another row's times through the allocator by a
 third.  The ``import drmaj`` row instead starts a fresh ``python3`` for
-each of its calls and times the import alone, numpy and scipy included, as
-a short script or CLI run pays it.  A round runs every row once per
-checkout; with two checkouts, the one that runs first alternates from round
-to round.  Prints, per row, the best over ``ROUNDS`` (3) rounds in
+each of its calls and times the import alone, numpy included, as a short
+script or CLI run pays it; the row after it times the same import and the
+first ``dr_family("exp:n=1")``, which loads ``scipy.special``.  A round
+runs every row once per checkout; with two checkouts, the one that runs
+first alternates from round to round.  Prints, per row, the best over ``ROUNDS`` (3) rounds in
 milliseconds, one column per checkout.
 Uses only the standard library; the rows themselves use the library's own
 numpy and scipy.
@@ -29,14 +30,20 @@ CALLS = 7   # timed calls per row, checkout and round
 ROUNDS = 3  # rounds of every row, the checkouts alternated
 
 IMPORT_ROW = "import drmaj, fresh python3"
+FAMILY_ROW = 'import drmaj + first dr_family("exp:n=1"), fresh python3'
 
 _IMPORT = r"""
 import sys, time
 sys.path.insert(0, sys.argv[1] + "/src")
 t0 = time.perf_counter()
 import drmaj
+if sys.argv[2:]:
+    drmaj.dr_family(sys.argv[2])
 print(1e3 * (time.perf_counter() - t0))
 """
+
+# rows that start a fresh python3 per call: name -> _IMPORT's arguments after the checkout
+_FRESH = {IMPORT_ROW: (), FAMILY_ROW: ("exp:n=1",)}
 
 _ROWS = r"""
 import json, sys, time
@@ -173,8 +180,8 @@ def _python(root, script, *args):
 
 
 def _child(root, calls, row):
-    if row == IMPORT_ROW:
-        return min(_python(root, _IMPORT) for _ in range(calls))
+    if row in _FRESH:
+        return min(_python(root, _IMPORT, *_FRESH[row]) for _ in range(calls))
     return _python(root, _ROWS, str(calls), row)
 
 
@@ -185,7 +192,7 @@ def main(argv=None):
     if len(args.checkouts) > 2:
         ap.error("give one or two checkouts")
     roots = [p.resolve() for p in args.checkouts]
-    rows = [IMPORT_ROW, *_child(roots[0], 1, "-")]
+    rows = [*_FRESH, *_child(roots[0], 1, "-")]
     best = {root: {} for root in roots}
     for r in range(ROUNDS):
         for root in (roots if r % 2 == 0 else roots[::-1]):

@@ -26,12 +26,15 @@ def kde_eval(points, centers, bandwidths):
     h = np.asarray(bandwidths, dtype=np.float64)
     m, n = cen.shape
     mu = cen.mean(axis=0)
-    x = (np.asarray(points, dtype=np.float64) - mu) / h
+    p = np.asarray(points, dtype=np.float64)
     c = (cen - mu) / h
-    size = len(x)
+    size = len(p)
     xa = np.empty((size, n + 2))
-    xa[:, :n] = x
-    xa[:, n] = 0.5 * np.einsum("ij,ij->i", x, x)
+    x = xa[:, :n]  # the scaled points are written in place, with no temporaries
+    np.subtract(p, mu, out=x)
+    x /= h
+    np.einsum("ij,ij->i", x, x, out=xa[:, n])
+    xa[:, n] *= 0.5
     xa[:, n + 1] = 1.0
     ca = np.empty((n + 2, m))
     ca[:n] = c.T

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from ._kernels import kde_eval
 from .order import ProbVector
@@ -101,6 +100,8 @@ class KdeModel:
         h = np.asarray(bandwidths, dtype=np.float64).ravel()
         if h.size == 1 and c.shape[1] > 1:
             h = np.full(c.shape[1], float(h[0]))
+        if c.shape[0] == 0:
+            raise ValueError("a KDE needs at least one center")
         if h.size != c.shape[1]:
             raise ValueError("one bandwidth per dimension required")
         if np.any(h <= 0) or not np.all(np.isfinite(h)):
@@ -123,7 +124,9 @@ class KdeModel:
 
     def mass_in_box(self, box):
         """Exact mixture mass inside an axis-aligned box."""
-        box = np.asarray(box, dtype=np.float64).reshape(self.dim, 2)
+        from scipy.special import ndtr  # here, so that importing drmaj skips scipy
+
+        box = _box_for(self, box)
         lo = (box[:, 0] - self.centers) / self.bandwidths
         hi = (box[:, 1] - self.centers) / self.bandwidths
         return float(np.prod(ndtr(hi) - ndtr(lo), axis=1).mean())
@@ -188,16 +191,28 @@ class McConfig:
             box = np.asarray(self.bounding_box, dtype=np.float64)
             if not np.all(np.isfinite(box)):
                 raise ValueError("bounding box must be finite")
+            if box.size == 0 or box.size % 2:
+                raise ValueError("bounding box needs one [lo, hi] pair per dimension")
             if np.any(np.diff(box.reshape(-1, 2), axis=1) <= 0):
                 raise ValueError("bounding box must have lo < hi in every dimension")
             object.__setattr__(self, "bounding_box", box)
+
+
+def _box_for(kde, box):
+    """``box`` as the (dim, 2) array of [lo, hi] rows of the KDE's dimensions."""
+    box = np.asarray(box, dtype=np.float64)
+    if box.size != 2 * kde.dim:
+        raise ValueError(
+            f"bounding box has {box.size} entries; a {kde.dim}-d KDE needs shape ({kde.dim}, 2)"
+        )
+    return box.reshape(kde.dim, 2)
 
 
 def _resolve_box(kde, cfg):
     if cfg.bounding_box is None:
         box = kde.default_box()
     else:
-        box = np.asarray(cfg.bounding_box, dtype=np.float64).reshape(kde.dim, 2)
+        box = _box_for(kde, cfg.bounding_box)
     mass = kde.mass_in_box(box)
     if mass < BOX_MASS_MIN:
         raise ValueError(
@@ -220,13 +235,15 @@ def _sample_box(box, cfg):
         # counter-based generator: point i is a pure function of (seed, i)
         gen = np.random.Generator(np.random.Philox(key=cfg.seed))
         u = gen.random((cfg.n_points, n))
-    return box[:, 0] + u * (box[:, 1] - box[:, 0])
+    u *= box[:, 1] - box[:, 0]
+    u += box[:, 0]
+    return u
 
 
 def empirical_dr(kde: KdeModel, cfg: McConfig) -> tuple[MeasureFn, DrPdf]:
     """Monte Carlo superlevel-set volumes of a KDE, swapped into a DR pdf.
 
-    For M geometric thresholds y in (max * 1e-6, max], the measure estimate
+    For M geometric thresholds y in [max * 1e-6, max], the measure estimate
     is (number of sampled points with density strictly above y) / N times
     the box volume. Counts against falling thresholds never decrease, so the
     measures are monotone by construction and go to the axis swap as counted.
@@ -336,7 +353,7 @@ def run_manifest(kde: KdeModel, cfg: McConfig, box=None) -> dict:
     """JSON-ready record of everything needed to reproduce a run."""
     if box is None:
         box = cfg.bounding_box if cfg.bounding_box is not None else kde.default_box()
-    box = np.asarray(box, dtype=np.float64).reshape(kde.dim, 2)
+    box = _box_for(kde, box)
     return {
         "seed": int(cfg.seed),
         "n_points": int(cfg.n_points),

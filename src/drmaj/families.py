@@ -21,7 +21,6 @@ import math
 import re
 
 import numpy as np
-from scipy import special
 
 from .rearrange import DrCdf, DrPdf, Measure
 
@@ -47,6 +46,8 @@ def ball_volume(n, r):
     r = np.asarray(r, dtype=np.float64)
     if np.any(r < 0):
         raise ValueError("radius must be nonnegative")
+    from scipy import special  # here, so that importing drmaj skips scipy
+
     out = np.pi ** (n / 2.0) * r ** n / special.gamma(n / 2.0 + 1.0)
     return float(out) if np.isscalar(r) or out.ndim == 0 else out
 
@@ -140,6 +141,8 @@ def parse_family(text):
 
 def _gammainc(a, x):
     """Regularised lower incomplete gamma ``P(a, x)``, by erf and expm1 at a = 1/2 and 1."""
+    from scipy import special  # here, so that importing drmaj skips scipy
+
     if a == 0.5:
         return special.erf(np.sqrt(x))
     if a == 1.0:
@@ -187,6 +190,8 @@ def dr_mvn(n=1, var=1.0):
         return _gammainc(n / 2.0, r2 / (2.0 * var))
 
     def cdf_inverse(p):
+        from scipy import special  # here, so that importing drmaj skips scipy
+
         p = np.asarray(p, dtype=np.float64)
         r2 = 2.0 * var * special.gammaincinv(n / 2.0, p)
         return vn * np.power(r2, n / 2.0)
@@ -233,6 +238,8 @@ def dr_exp_iid(n=1):
         return _gammainc(n, _exp_radius(np.asarray(z, dtype=np.float64), n))
 
     def cdf_inverse(p):
+        from scipy import special  # here, so that importing drmaj skips scipy
+
         return volume(special.gammaincinv(n, np.asarray(p, dtype=np.float64)))
 
     return _closed_form(pdf, Measure(pdf_inverse, 1.0), cdf, cdf_inverse)

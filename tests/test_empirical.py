@@ -97,6 +97,9 @@ def test_kde_validation():
         KdeModel(np.zeros((3, 2)), np.array([1.0, -1.0]))
     with pytest.raises(ValueError, match="finite"):
         KdeModel(np.full((3, 2), np.inf), np.ones(2))
+    for centers in (np.empty((0, 2)), np.empty(0)):
+        with pytest.raises(ValueError, match="at least one center"):
+            KdeModel(centers, 1.0)
 
 
 def test_bandwidth_rules():
@@ -130,6 +133,8 @@ def test_mc_config_validation():
         McConfig(seed=-1)
     with pytest.raises(ValueError, match="lo < hi"):
         McConfig(bounding_box=np.array([[-1.0, 1.0], [2.0, 2.0]]))
+    with pytest.raises(ValueError, match=r"one \[lo, hi\] pair per dimension"):
+        McConfig(bounding_box=np.array([-5.0, 0.0, 5.0]))
 
 
 def test_exact_bvn_recovers_closed_form():
@@ -182,6 +187,18 @@ def test_box_mass_gate():
     )
     with pytest.raises(ValueError, match="widen the box"):
         empirical_dr(bvn_model(), cfg)
+
+
+def test_box_of_the_wrong_size_is_named():
+    # one [lo, hi] pair for a 2-d KDE
+    cfg = McConfig(n_points=5000, bounding_box=np.array([-5.0, 5.0]), seed=0)
+    expected = r"2 entries; a 2-d KDE needs shape \(2, 2\)"
+    with pytest.raises(ValueError, match=expected):
+        empirical_dr(bvn_model(), cfg)
+    with pytest.raises(ValueError, match=expected):
+        run_manifest(bvn_model(), cfg)
+    with pytest.raises(ValueError, match=r"6 entries; a 2-d KDE"):
+        bvn_model().mass_in_box(np.arange(6.0))
 
 
 def test_box_too_tight_warning():
