@@ -10,9 +10,6 @@ from .rearrange import (
     TabulatedFn,
     cdf_of_dr,
     dr_from_density_1d,
-    eval_cdf,
-    eval_pdf,
-    functional_inverse,
     load_tabulated,
     measure_function,
     pdf_of_cdf,
@@ -25,9 +22,7 @@ from .families import (
     dr_exp_rate,
     dr_family,
     dr_mvn,
-    dr_validate_radial,
     parse_family,
-    suggested_truncation,
 )
 from .order import (
     CdfComparison,
@@ -43,7 +38,6 @@ from .order import (
     majorizes_cdf,
     majorizes_discrete,
     majorizes_matrix,
-    schur_preservation_check,
     slice_compare,
 )
 from .algebra import (
@@ -62,7 +56,6 @@ from .algebra import (
     meet,
     otimes,
     otimes_power,
-    scalar_scale,
 )
 from .entropy import (
     SHANNON,

@@ -53,7 +53,6 @@ __all__ = [
     "join",
     "meet",
     "convolve_dr",
-    "scalar_scale",
     "detect_kink",
     "ExprError",
     "ExprResult",
@@ -291,7 +290,6 @@ def otimes_power(F, k):
         pdf=scaled_pdf,
         inverse=None if F.inverse is None else (lambda pr: k * np.asarray(F.inverse(np.asarray(pr)), dtype=np.float64)),
         z_hi=F.z_hi * k,
-        z_max=F.z_max * k if math.isfinite(F.z_max) else math.inf,
     )
 
 
@@ -308,7 +306,7 @@ def _lattice(F1, F2, op):
         return F2 if op is np.maximum else F1
     # crossing pair: close over the inputs rather than tabulate, so the
     # defining pointwise inequalities against F1 and F2 hold exactly
-    z_hi = max(F1.effective_support(1e-8), F2.effective_support(1e-8))
+    z_hi = max(F1.effective_support(), F2.effective_support())
     # max(F1, F2) >= p iff z >= min(Q1(p), Q2(p)); the meet mirrors it
     q_op = np.minimum if op is np.maximum else np.maximum
     return DrCdf(
@@ -379,22 +377,6 @@ def convolve_dr(f1, f2):
 
     g = DensityFn.from_univariate(density, 0.0, float(z_out[-1]), integral_tol=None)
     return cdf_of_dr(dr_from_density_1d(g))
-
-
-def scalar_scale(F, beta):
-    """Pointwise scaling beta * F(z), returned as a table.
-
-    Only beta = 1 yields a cdf; the result's ``is_cdf`` attribute flags this.
-    """
-    if not isinstance(F, DrCdf):
-        raise TypeError("scalar_scale expects a DrCdf")
-    beta = float(beta)
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise ValueError(f"scale factor must be finite and positive, got {beta!r}")
-    base = F.tabulated()
-    out = TabulatedFn(base.grid.copy(), beta * base.values, "nondecreasing")
-    out.is_cdf = beta == 1.0
-    return out
 
 
 def detect_kink(f):

@@ -38,6 +38,7 @@ __all__ = [
     "entropy_dr",
     "moments_dr",
     "binary_joint",
+    "epsilon_bound",
     "max_entropy_epsilon",
 ]
 
@@ -67,19 +68,6 @@ class EntropyKind:
     @classmethod
     def tsallis(cls, gamma):
         return cls("tsallis", float(gamma))
-
-    @classmethod
-    def parse(cls, text):
-        """``"shannon"`` or ``"tsallis:GAMMA"``."""
-        parts = str(text).strip().lower().split(":")
-        if parts[0] == "shannon" and len(parts) == 1:
-            return cls("shannon")
-        if parts[0] == "tsallis" and len(parts) == 2:
-            try:
-                return cls.tsallis(float(parts[1]))
-            except ValueError as exc:
-                raise ValueError(f"bad tsallis gamma in {text!r}") from exc
-        raise ValueError(f"cannot parse entropy kind {text!r}")
 
     def label(self):
         if self.kind == "shannon":

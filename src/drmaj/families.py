@@ -33,8 +33,6 @@ __all__ = [
     "dr_exp_rate",
     "dr_beta32",
     "dr_family",
-    "dr_validate_radial",
-    "suggested_truncation",
 ]
 
 
@@ -306,12 +304,12 @@ def dr_beta32():
         return np.where(z >= 1.0, 1.0, (zc / 9.0) * (np.sqrt(cubic) + 8.0))
 
     f = DrPdf(fn=pdf, z_max=1.0)
-    F = DrCdf(fn=cdf, pdf=f, z_hi=1.0, z_max=1.0)
+    F = DrCdf(fn=cdf, pdf=f, z_hi=1.0)
     return f, F
 
 
 # ---------------------------------------------------------------------------
-# dispatch and validation
+# dispatch
 # ---------------------------------------------------------------------------
 
 
@@ -326,43 +324,3 @@ def dr_family(spec):
     if spec.kind == "exp_rate":
         return dr_exp_rate(**spec.params)
     return dr_beta32()
-
-
-def suggested_truncation(spec, mass=1.0 - 1e-8):
-    """Interval capturing ``mass`` of the family's DR, for numeric pipelines."""
-    _, F = dr_family(spec)
-    return 0.0, F.effective_support(1.0 - mass)
-
-
-def dr_validate_radial(spec):
-    """Cross-check an analytic DR against its radial reconstruction.
-
-    For mvn the radius of the level ball is chi-distributed; for iid
-    exponentials the simplex radius (coordinate sum) is Gamma(n, 1).  The DR
-    pdf must equal ``f_R(r(z)) r'(z)`` with ``z`` the superlevel volume.
-    Returns the sup discrepancy over 512 points up to the 1 - 1e-6 quantile.
-    """
-    from scipy import stats  # here, so that importing drmaj skips scipy.stats
-
-    if isinstance(spec, str):
-        spec = parse_family(spec)
-    f, F = dr_family(spec)
-    z_hi = F.effective_support(1e-6)
-    z = np.linspace(z_hi * 1e-6, z_hi, 512)
-    if spec.kind == "mvn":
-        n = spec.params["n"]
-        sigma = math.sqrt(spec.params["var"])
-        vn = ball_volume(n, 1.0)
-        r = np.power(z / vn, 1.0 / n)
-        drdz = np.power(z / vn, 1.0 / n - 1.0) / (n * vn)
-        recon = stats.chi.pdf(r / sigma, df=n) / sigma * drdz
-    elif spec.kind == "exp_iid":
-        n = spec.params["n"]
-        r = _exp_radius(z, n)
-        recon = stats.gamma.pdf(r, a=n) * r / (n * z)  # dr/dz = r / (n z)
-    elif spec.kind == "exp_rate":
-        theta = spec.params["theta"]
-        recon = theta * np.exp(-theta * z)
-    else:
-        raise ValueError("radial validation applies to mvn and exponential families")
-    return float(np.max(np.abs(recon - f(z))))

@@ -41,7 +41,6 @@ __all__ = [
     "default_comparison_grid",
     "slice_compare",
     "dilation_witness",
-    "schur_preservation_check",
     "contractive_ordering_check",
 ]
 
@@ -50,9 +49,6 @@ PROB_TOL = 1e-12
 
 #: gap ``y - x`` beyond which the dilation witness still transforms a coordinate
 WITNESS_TOL = 1e-13
-
-#: slack of the Schur-concavity check: ``H(p) >= H(q) - SCHUR_SLACK``
-SCHUR_SLACK = 1e-12
 
 
 class OrderVerdict(enum.Enum):
@@ -179,14 +175,14 @@ def default_comparison_grid(f1, f2):
     The geometric points matter: cdf pairs can cross inside a thin interval
     near z = 0 that a uniform grid over the full support never samples.
     """
-    z_hi = max(f1.effective_support(1e-8), f2.effective_support(1e-8))
+    z_hi = max(f1.effective_support(), f2.effective_support())
     parts = [
         np.linspace(0.0, z_hi, 1024),
         np.geomspace(z_hi * 1e-9, z_hi, 513),
     ]
     for f in (f1, f2):
-        k = f.knots()
-        if k is not None:
+        if f.table is not None:
+            k = f.table.grid
             parts.append(k[k <= z_hi])
     g = np.unique(np.concatenate(parts))
     return Grid(g)
@@ -378,20 +374,6 @@ def dilation_witness(p, q):
                 bisect.insort(deficit, i)
         n_factors += 1
     return DoublyStochastic(m, n_factors=n_factors)
-
-
-def schur_preservation_check(p, q, functional):
-    """Whether a (Schur-concave) functional ranks ``p`` at or above ``q``.
-
-    Requires ``p`` majorised by ``q`` (or equal); raises on incomparable or
-    reversed inputs.
-    """
-    verdict = majorizes_discrete(p, q)
-    if verdict not in (OrderVerdict.PRECEDES, OrderVerdict.EQUAL):
-        raise ValueError("schur check requires p majorised by q")
-    hp = float(functional(_coerce_vec(p).values))
-    hq = float(functional(_coerce_vec(q).values))
-    return hp >= hq - SCHUR_SLACK
 
 
 class ContractiveMap1D:

@@ -34,10 +34,8 @@ __all__ = [
     "measure_function",
     "dr_from_density_1d",
     "cdf_of_dr",
-    "functional_inverse",
     "pdf_of_cdf",
-    "eval_pdf",
-    "eval_cdf",
+    "load_tabulated",
 ]
 
 #: resolution of a closed form's table (see :func:`_sample_points`)
@@ -85,16 +83,6 @@ class Grid:
 
     def __len__(self):
         return self.points.size
-
-    @classmethod
-    def uniform(cls, lo, hi, n):
-        return cls(np.linspace(lo, hi, int(n)))
-
-    @classmethod
-    def geometric(cls, lo, hi, n):
-        if lo <= 0 or hi <= 0:
-            raise ValueError("geometric grid requires positive endpoints")
-        return cls(np.geomspace(lo, hi, int(n)))
 
 
 class TabulatedFn:
@@ -269,6 +257,11 @@ class DensityFn:
         self.z = lo + (hi - lo) * np.concatenate([s, 1.0 - s[-2::-1]])
         self.z[-1] = hi
         fz = self.eval(self.z)
+        if fz.shape != self.z.shape:
+            raise ValueError(
+                f"density function must map a (k,) array to k values; "
+                f"on {self.z.size} points it returned shape {fz.shape}"
+            )
         if not np.all(np.isfinite(fz)):
             raise ValueError("density takes non-finite values")
         if np.any(fz < -1e-12):
@@ -674,6 +667,8 @@ class DrPdf:
             if math.isfinite(self.z_max) and self.z_hi != self.z_max:
                 raise ValueError("z_hi must equal a finite z_max")
             vp = self._eval_fn(_probe_grid(self.z_hi))
+            if not np.all(np.isfinite(vp)):
+                raise ValueError("DR pdf takes non-finite values")
             if np.any(vp < -1e-12):
                 raise ValueError("DR pdf values must be nonnegative")
             scale = max(float(vp[0]), 1.0)
@@ -745,14 +740,12 @@ class DrCdf:
         pdf=None,
         inverse=None,
         z_hi=None,
-        z_max=None,
         require_concave=True,
     ):
         if (table is None) == (fn is None):
             raise ValueError("provide exactly one of table or fn")
         self.pdf = pdf
         self.inverse = inverse
-        self.z_max = float(z_max) if z_max is not None else math.inf
         if table is not None:
             if table.monotone != "nondecreasing":
                 table = TabulatedFn(table.grid, table.values, "nondecreasing")
@@ -781,6 +774,8 @@ class DrCdf:
                 raise ValueError(f"DR cdf value {ftop:.8f} at z_hi is not within 1e-6 of 1")
             zp = _probe_grid(self.z_hi)
             vp = np.asarray(fn(zp), dtype=np.float64)
+            if not np.all(np.isfinite(vp)):
+                raise ValueError("DR cdf takes non-finite values")
             if np.any(np.diff(vp) < -1e-12):
                 raise ValueError("DR cdf must be nondecreasing")
             self.concave = _concave_flag(zp, vp)
@@ -796,14 +791,13 @@ class DrCdf:
         if self.table is not None:
             out = np.interp(zz, self.table.grid, self.table.values)
         else:
-            capped = np.minimum(zz, self.z_max) if math.isfinite(self.z_max) else zz
-            out = np.asarray(self.fn(capped), dtype=np.float64)
+            out = np.asarray(self.fn(zz), dtype=np.float64)
         return float(out[0]) if scalar else out
 
     def quantile_at(self, p):
         """Smallest z with ``F(z) >= p`` (interpolated)."""
         pp = np.atleast_1d(np.asarray(p, dtype=np.float64))
-        if np.any((pp < 0) | (pp > 1)):
+        if not np.all((pp >= 0) & (pp <= 1)):
             raise ValueError("quantile levels must lie in [0, 1]")
         if self.inverse is not None:
             out = np.asarray(self.inverse(pp), dtype=np.float64)
@@ -821,26 +815,27 @@ class DrCdf:
             out = _bisect_increasing(self.fn, pp, 0.0, self.z_hi)
         return out if np.asarray(p).ndim else float(out[0])
 
-    def effective_support(self, eps=1e-8):
-        """z at which the cdf first reaches ``1 - eps``.
+    def effective_support(self):
+        """z at which the cdf first reaches ``1 - 1e-8``.
 
-        Read from the exact inverse when the cdf has one and ``0 < eps < 1``;
-        at ``eps = 0`` that inverse is infinite, so the doubling search and
-        bisection below find the first z whose value rounds to 1.
+        Read from the exact inverse when the cdf has one, from the first
+        knot at or above that level for a table, and otherwise by a doubling
+        search and bisection of the closed form.
         """
-        if self.inverse is not None and 0.0 < eps < 1.0:
-            return self.quantile_at(1.0 - eps)
+        top = 1.0 - 1e-8
+        if self.inverse is not None:
+            return self.quantile_at(top)
         if self.table is not None:
             vals = self.table.values
-            idx = int(np.searchsorted(vals, 1.0 - eps, side="left"))
+            idx = int(np.searchsorted(vals, top, side="left"))
             idx = min(idx, vals.size - 1)
             return float(self.table.grid[idx])
         hi = self.z_hi
         for _ in range(200):
-            if float(np.atleast_1d(self.fn(np.array([hi])))[0]) >= 1.0 - eps:
+            if float(np.atleast_1d(self.fn(np.array([hi])))[0]) >= top:
                 break
             hi *= 2.0
-        out = _bisect_increasing(self.fn, np.array([1.0 - eps]), 0.0, hi)
+        out = _bisect_increasing(self.fn, np.array([top]), 0.0, hi)
         return float(out[0])
 
     def tabulated(self, n=TABLE_POINTS):
@@ -849,9 +844,6 @@ class DrCdf:
             return self.table
         z = _sample_points(self.z_hi, int(n), self.pdf)
         return TabulatedFn(z, np.maximum.accumulate(np.clip(self(z), 0.0, 1.0)), "nondecreasing")
-
-    def knots(self):
-        return self.table.grid if self.table is not None else None
 
 
 def _bisect_increasing(fn, targets, lo, hi, iters=80):
@@ -1069,46 +1061,3 @@ def pdf_of_cdf(F):
     zs = np.concatenate([[0.0], steps, [g[-1]]])
     table = TabulatedFn(zs, np.repeat(slopes, 2), "nonincreasing")
     return DrPdf(table=table, mass_tol=1e-3)
-
-
-def functional_inverse(g):
-    """Invert a strictly monotone TabulatedFn by swapping grid and values.
-
-    Consecutive ties in the values are collapsed first (keeping the knot at
-    the far edge of each flat run, matching superlevel-measure semantics for
-    nonincreasing input and quantile semantics for nondecreasing input).
-    """
-    if not isinstance(g, TabulatedFn):
-        raise TypeError("functional_inverse expects a TabulatedFn")
-    if g.monotone == "none":
-        raise ValueError("inverse undefined: function is not declared monotone")
-    vals = g.values
-    grid = g.grid
-    keep = np.ones(vals.size, dtype=bool)
-    if g.monotone == "nonincreasing":
-        keep[:-1] = np.diff(vals) < 0
-        if np.any(np.diff(vals) > MONOTONE_TOL):
-            raise ValueError("inverse undefined: function is not monotone")
-        new_grid = vals[keep][::-1]
-        new_vals = grid[keep][::-1]
-    else:
-        keep[1:] = np.diff(vals) > 0
-        if np.any(np.diff(vals) < -MONOTONE_TOL):
-            raise ValueError("inverse undefined: function is not monotone")
-        new_grid = vals[keep]
-        new_vals = grid[keep]
-    if new_grid.size < 2:
-        raise ValueError("inverse undefined: function is constant")
-    if np.any(np.diff(new_grid) <= 0):
-        # collapse any residual fp-equal values
-        uniq, idx = np.unique(new_grid, return_index=True)
-        new_grid = uniq
-        new_vals = new_vals[idx]
-    return TabulatedFn(new_grid, new_vals, g.monotone)
-
-
-#: ``eval_pdf(f, z)``: the DR pdf at z (error for z < 0; zero beyond the table)
-eval_pdf = DrPdf.__call__
-
-#: ``eval_cdf(F, z)``: the DR cdf at z (error for z < 0; final value beyond the table)
-eval_cdf = DrCdf.__call__

@@ -24,7 +24,6 @@ from drmaj.algebra import (
     meet,
     otimes,
     otimes_power,
-    scalar_scale,
 )
 from drmaj.entropy import SHANNON, entropy_dr, moments_dr
 from drmaj.families import dr_exp_iid, dr_exp_rate, dr_family, dr_mvn
@@ -277,7 +276,7 @@ def test_crossing_lattice_reads_its_exact_quantile(op):
     p = np.array([1e-6, 0.25, 0.5, 0.9, 1.0 - 1e-8])
     assert np.all(np.abs(lat(lat.quantile_at(p)) - p) <= 1e-12)
     searched = DrCdf(fn=lat.fn, z_hi=lat.z_hi, require_concave=False)  # no inverse: bisection
-    assert lat.effective_support(1e-8) == pytest.approx(searched.effective_support(1e-8), rel=1e-8)
+    assert lat.effective_support() == pytest.approx(searched.effective_support(), rel=1e-8)
 
 
 @pytest.mark.parametrize("op", [join, meet])
@@ -357,24 +356,6 @@ def test_convolution_of_exponentials(quintuple):
     F = convolve_dr(f1, f1)
     z = np.linspace(0.0, 30.0, 1501)
     assert np.max(np.abs(F(z) - f5_cdf(z))) <= 1e-3
-
-
-def test_scalar_scale():
-    _, F = dr_exp_iid(1)
-    out = scalar_scale(F, 0.5)
-    assert not out.is_cdf
-    assert out(5.0) == pytest.approx(0.5 * float(F(5.0)), abs=1e-6)
-    ident = scalar_scale(F, 1.0)
-    assert ident.is_cdf
-    with pytest.raises(ValueError, match="positive"):
-        scalar_scale(F, 0.0)
-
-
-@pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
-def test_scalar_scale_rejects_a_non_finite_factor(beta):
-    _, F = dr_exp_iid(1)
-    with pytest.raises(ValueError, match="scale factor must be finite and positive"):
-        scalar_scale(F, beta)
 
 
 @pytest.mark.parametrize(

@@ -227,7 +227,7 @@ def test_quantile_of_a_binned_step_is_its_support_end():
     # DR 2 on [0, 0.5): the binned cdf reaches 1 at z = 0.5 and stays flat to the grid's end
     dr = DrPdf(table=TabulatedFn([0.0, np.nextafter(0.5, 0.0), 0.5], [2.0, 2.0, 0.0], "nonincreasing"))
     F = empirical_dr_cdf(dr, np.linspace(0.0, 2.0, 201))
-    assert F.effective_support(0.0) == 0.5
+    assert F.effective_support() == 0.5
     assert F.quantile_at(1.0) == 0.5
 
 

@@ -28,14 +28,18 @@ from drmaj.rearrange import DrPdf, Measure, TabulatedFn
 
 
 def test_entropy_kind_parsing():
-    assert EntropyKind.parse("shannon") == SHANNON
-    k = EntropyKind.parse("tsallis:0.5")
+    assert EntropyKind("shannon") == SHANNON
+    k = EntropyKind.tsallis(0.5)
     assert k.gamma == 0.5
     assert k.label() == "tsallis:0.5"
     assert EntropyKind.tsallis(2).gamma == 2.0
-    for bad in ("renyi", "tsallis", "tsallis:x", "tsallis:-1", "shannon:2", "tsallis:inf"):
-        with pytest.raises(ValueError):
-            EntropyKind.parse(bad)
+    for bad in (-1.0, 0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite gamma > 0"):
+            EntropyKind.tsallis(bad)
+    with pytest.raises(ValueError, match="unknown entropy kind"):
+        EntropyKind("renyi")
+    with pytest.raises(ValueError, match="finite gamma > 0"):
+        EntropyKind("tsallis")
     with pytest.raises(ValueError, match="gamma applies to tsallis"):
         EntropyKind("shannon", gamma=1.0)
 

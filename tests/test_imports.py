@@ -1,4 +1,4 @@
-"""What importing drmaj loads: numpy alone; scipy.special at the first closed form."""
+"""What importing drmaj loads (numpy alone; scipy.special at the first closed form) and exports."""
 
 import subprocess
 import sys
@@ -9,17 +9,21 @@ import drmaj
 SRC = Path(drmaj.__file__).resolve().parents[1]
 
 
-def _scipy_loaded_by(code):
-    """The scipy modules that ``code`` leaves loaded in a fresh interpreter.
+def _printed_by(code):
+    """The words that ``code`` prints in a fresh interpreter.
 
-    A fresh one, since this one has loaded scipy for the tests.
+    A fresh one, since this one has loaded scipy and more of drmaj for the tests.
     """
-    script = (
-        f"import sys; sys.path.insert(0, {str(SRC)!r})\n{code}\n"
-        "print(' '.join(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
-    )
+    script = f"import sys; sys.path.insert(0, {str(SRC)!r})\n{code}"
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
     return out.stdout.split()
+
+
+def _scipy_loaded_by(code):
+    """The scipy modules that ``code`` leaves loaded in a fresh interpreter."""
+    return _printed_by(
+        f"{code}\nprint(' '.join(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
 
 
 def test_import_loads_no_scipy():
@@ -50,3 +54,20 @@ def test_first_closed_form_loads_scipy_special():
     loaded = _scipy_loaded_by('import drmaj; drmaj.dr_family("exp:n=1")')
     assert "scipy.special" in loaded
     assert not {"scipy.stats", "scipy.integrate", "scipy.optimize"} & set(loaded)
+
+
+def test_exports_are_the_submodules_all():
+    # every public name of drmaj is a submodule, __version__, or in a submodule's __all__
+    code = """
+import types
+import drmaj
+public = {n for n in vars(drmaj) if not n.startswith("_") or n == "__version__"}
+modules = {n for n in public if isinstance(getattr(drmaj, n), types.ModuleType)}
+listed = set().union(*(getattr(drmaj, m).__all__ for m in modules))
+print(" ".join(sorted(public ^ (listed | modules | {"__version__"}))))
+print("modules:", " ".join(sorted(modules)))
+"""
+    out = _printed_by(code)
+    split = out.index("modules:")
+    assert out[:split] == []
+    assert out[split + 1 :] == ["algebra", "empirical", "entropy", "families", "order", "rearrange"]

@@ -24,7 +24,6 @@ from drmaj.order import (
     majorizes_cdf,
     majorizes_discrete,
     majorizes_matrix,
-    schur_preservation_check,
     slice_compare,
     _slice_integrals,
 )
@@ -361,7 +360,8 @@ def test_schur_preservation():
     rng = np.random.default_rng(5)
     for _ in range(20):
         p, q = discrete_comparable_pair(rng)
-        assert schur_preservation_check(p, q, entropy_discrete)
+        assert majorizes_discrete(p, q) in (OrderVerdict.PRECEDES, OrderVerdict.EQUAL)
+        assert entropy_discrete(p) >= entropy_discrete(q) - 1e-12
 
 
 def test_cdf_and_slice_verdicts_agree():
@@ -569,7 +569,7 @@ def test_default_comparison_grid_spans_support():
     _, Fb = dr_exp_iid(3)
     g = default_comparison_grid(Fa, Fb).points
     assert g[0] >= 0.0
-    hi = max(Fa.effective_support(1e-8), Fb.effective_support(1e-8))
+    hi = max(Fa.effective_support(), Fb.effective_support())
     assert g[-1] >= hi * 0.99
     assert np.all(np.diff(g) > 0)
     # the tail it spans really does hold all but ~1e-8 of the mass
