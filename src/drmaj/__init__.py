@@ -37,7 +37,6 @@ from .order import (
     dilation_witness,
     majorizes_cdf,
     majorizes_discrete,
-    majorizes_matrix,
     slice_compare,
 )
 from .algebra import (

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import dr_family, parse_family
-from .order import default_comparison_grid
+from .order import _coerce_vec, _sorted_padded, default_comparison_grid
 from .rearrange import (
     TABLE_POINTS,
     DensityFn,
@@ -192,32 +192,14 @@ def inverse_mix_discrete(p, q, w=0.5):
     Returns the pooled probabilities in nonincreasing order; they sum to 1.
     """
     a = MixWeight.coerce(w).alpha
-    pv = np.asarray(p, dtype=np.float64).ravel()
-    qv = np.asarray(q, dtype=np.float64).ravel()
-    pooled = np.concatenate([(1.0 - a) * pv, a * qv])
-    if not np.all(np.isfinite(pooled)):
-        raise ValueError("probabilities must be finite")
-    if np.any(pooled < 0.0):
-        raise ValueError("probabilities must be nonnegative")
-    if abs(float(pv.sum()) - 1.0) > 1e-9 or abs(float(qv.sum()) - 1.0) > 1e-9:
-        raise ValueError("inputs must each sum to 1")
+    pooled = np.concatenate([(1.0 - a) * _coerce_vec(p).values, a * _coerce_vec(q).values])
     return np.sort(pooled)[::-1]
 
 
 def direct_mix_discrete(p, q, w=0.5):
     """Discrete direct mixing: average the sorted vectors elementwise."""
     a = MixWeight.coerce(w).alpha
-    pv = np.sort(np.asarray(p, dtype=np.float64).ravel())[::-1]
-    qv = np.sort(np.asarray(q, dtype=np.float64).ravel())[::-1]
-    n = max(pv.size, qv.size)
-    pv = np.pad(pv, (0, n - pv.size))
-    qv = np.pad(qv, (0, n - qv.size))
-    if not (np.all(np.isfinite(pv)) and np.all(np.isfinite(qv))):
-        raise ValueError("probabilities must be finite")
-    if np.any(pv < 0.0) or np.any(qv < 0.0):
-        raise ValueError("probabilities must be nonnegative")
-    if abs(float(pv.sum()) - 1.0) > 1e-9 or abs(float(qv.sum()) - 1.0) > 1e-9:
-        raise ValueError("inputs must each sum to 1")
+    pv, qv = _sorted_padded(p, q)
     return (1.0 - a) * pv + a * qv
 
 

@@ -93,7 +93,7 @@ class KdeModel:
     bounding-box precondition check.
     """
 
-    def __init__(self, centers, bandwidths, labels=None):
+    def __init__(self, centers, bandwidths):
         c = np.asarray(centers, dtype=np.float64)
         if c.ndim == 1:
             c = c[:, None]
@@ -110,7 +110,6 @@ class KdeModel:
             raise ValueError("centers must be finite")
         self.centers = c
         self.bandwidths = h
-        self.labels = list(labels) if labels is not None else None
 
     @property
     def dim(self):
@@ -154,7 +153,7 @@ def fit_kde(data: Dataset, rule="silverman", h=None) -> KdeModel:
         hv = np.asarray(h, dtype=np.float64).ravel()
         if hv.size == 1:
             hv = np.full(n, float(hv[0]))
-        return KdeModel(data.rows, hv, data.labels)
+        return KdeModel(data.rows, hv)
     if rule not in ("silverman", "scott"):
         raise ValueError(f"unknown bandwidth rule {rule!r}")
     sig = np.std(data.rows, axis=0, ddof=1)
@@ -162,7 +161,7 @@ def fit_kde(data: Dataset, rule="silverman", h=None) -> KdeModel:
         j = int(np.argmin(sig))
         raise ValueError(f"degenerate dimension {data.labels[j]!r}: zero variance")
     factor = (4.0 / (n + 2.0)) ** (1.0 / (n + 4.0)) if rule == "silverman" else 1.0
-    return KdeModel(data.rows, factor * sig * m ** (-1.0 / (n + 4.0)), data.labels)
+    return KdeModel(data.rows, factor * sig * m ** (-1.0 / (n + 4.0)))
 
 
 @dataclass(frozen=True)

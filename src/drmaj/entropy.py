@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .order import ProbMatrix, ProbVector
+from .order import ProbMatrix, _coerce_vec
 from .rearrange import DrPdf, _level_quad
 
 __all__ = [
@@ -99,23 +99,8 @@ def _gauge_slope(u, kind):
 
 
 def entropy_discrete(p, kind=SHANNON):
-    """Entropy of a probability vector or joint table.
-
-    Accepts ProbVector, ProbMatrix, or any array summing to 1 within 1e-9.
-    """
-    if isinstance(p, ProbMatrix):
-        q = p.values.ravel()
-    elif isinstance(p, ProbVector):
-        q = p.values
-    else:
-        q = np.asarray(p, dtype=np.float64).ravel()
-        if q.size == 0 or not np.all(np.isfinite(q)):
-            raise ValueError("probability vector must be finite and nonempty")
-        if np.any(q < 0.0):
-            raise ValueError("negative probability entries")
-        if abs(float(q.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {float(q.sum())!r}, not 1")
-    return float(_gauge(q, kind).sum())
+    """Entropy of a probability vector or joint table (a ProbVector, ProbMatrix or array)."""
+    return float(_gauge(_coerce_vec(p).values, kind).sum())
 
 
 # ---------------------------------------------------------------------------

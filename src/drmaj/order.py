@@ -34,7 +34,6 @@ __all__ = [
     "DoublyStochastic",
     "ContractiveMap1D",
     "majorizes_discrete",
-    "majorizes_matrix",
     "majorizes_cdf",
     "CdfComparison",
     "compare_cdfs",
@@ -61,7 +60,11 @@ class OrderVerdict(enum.Enum):
 
 
 class ProbVector:
-    """Probability vector: nonnegative entries summing to 1 within 1e-12."""
+    """Probability vector: nonnegative entries summing to 1 within 1e-12.
+
+    The one check behind every discrete entry point, joint tables included;
+    entries at or above ``-PROB_TOL`` are clipped to 0.
+    """
 
     def __init__(self, values):
         v = np.asarray(values, dtype=np.float64).ravel()
@@ -73,7 +76,7 @@ class ProbVector:
             raise ValueError("probability entries must be nonnegative")
         total = float(v.sum())
         if abs(total - 1.0) > PROB_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
+            raise ValueError(f"probabilities must sum to 1, got {total!r}")
         self.values = np.maximum(v, 0.0)
 
     def __len__(self):
@@ -84,23 +87,13 @@ class ProbVector:
 
 
 class ProbMatrix:
-    """Joint probability table: nonnegative entries summing to 1 within 1e-12."""
+    """Joint probability table: a two-dimensional :class:`ProbVector`."""
 
     def __init__(self, values):
         v = np.asarray(values, dtype=np.float64)
         if v.ndim != 2:
             raise ValueError("probability table must be two-dimensional")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("probability entries must be finite")
-        if np.any(v < -PROB_TOL):
-            raise ValueError("probability entries must be nonnegative")
-        total = float(v.sum())
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
-        self.values = np.maximum(v, 0.0)
-
-    def ravel(self):
-        return ProbVector(self.values.ravel())
+        self.values = ProbVector(v).values.reshape(v.shape)
 
 
 @dataclass
@@ -129,7 +122,17 @@ class DoublyStochastic:
 
 
 def _coerce_vec(p):
-    return p if isinstance(p, ProbVector) else ProbVector(p)
+    """``p`` as a ProbVector; a ProbMatrix gives its raveled values."""
+    if isinstance(p, ProbVector):
+        return p
+    return ProbVector(p.values if isinstance(p, ProbMatrix) else p)
+
+
+def _sorted_padded(p, q):
+    """The nonincreasing values of two probability vectors, zero-padded to one length."""
+    pv, qv = _coerce_vec(p).sorted_desc(), _coerce_vec(q).sorted_desc()
+    n = max(pv.size, qv.size)
+    return np.pad(pv, (0, n - pv.size)), np.pad(qv, (0, n - qv.size))
 
 
 def _verdict_from_gaps(d, tol):
@@ -145,28 +148,18 @@ def _verdict_from_gaps(d, tol):
 def majorizes_discrete(p, q, tol=1e-12):
     """Compare two probability vectors in the majorisation order.
 
-    Vectors of unequal length are zero-padded to a common length.  Returns
-    PRECEDES when ``p`` is majorised by ``q`` (every sorted partial sum of
-    ``p`` is at most the matching one of ``q``), SUCCEEDS for the reverse,
-    EQUAL when the sorted vectors coincide within ``tol``.
+    Vectors of unequal length are zero-padded to a common length, and joint
+    tables (2-d arrays or ProbMatrix) compare raveled.  Returns PRECEDES when
+    ``p`` is majorised by ``q`` (every sorted partial sum of ``p`` is at most
+    the matching one of ``q``), SUCCEEDS for the reverse, EQUAL when the
+    sorted vectors coincide within ``tol``.
     """
     _check_tol(tol)
-    pv = _coerce_vec(p).sorted_desc()
-    qv = _coerce_vec(q).sorted_desc()
-    n = max(pv.size, qv.size)
-    pv = np.pad(pv, (0, n - pv.size))
-    qv = np.pad(qv, (0, n - qv.size))
+    pv, qv = _sorted_padded(p, q)
     d = np.cumsum(qv) - np.cumsum(pv)
     if np.max(np.abs(pv - qv)) <= tol:
         return OrderVerdict.EQUAL
     return _verdict_from_gaps(d, tol)
-
-
-def majorizes_matrix(x, y, tol=1e-12):
-    """Majorisation of joint tables: flatten and compare as vectors."""
-    xm = x if isinstance(x, ProbMatrix) else ProbMatrix(x)
-    ym = y if isinstance(y, ProbMatrix) else ProbMatrix(y)
-    return majorizes_discrete(xm.ravel(), ym.ravel(), tol=tol)
 
 
 def default_comparison_grid(f1, f2):

@@ -60,6 +60,19 @@ def _check_tol(tol, name="tol"):
         raise ValueError(f"{name} must be finite and nonnegative, got {tol!r}")
 
 
+def _samples_of(fn, z, what):
+    """``fn`` on the (k,) points ``z``, checked to be k finite values."""
+    out = np.asarray(fn(z), dtype=np.float64)
+    if out.shape != z.shape:
+        raise ValueError(
+            f"{what} function must map a (k,) array to k values; "
+            f"on {z.size} points it returned shape {out.shape}"
+        )
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{what} takes non-finite values")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # grids and tabulated functions
 # ---------------------------------------------------------------------------
@@ -256,14 +269,7 @@ class DensityFn:
         s = np.round((0.5 - 0.5 * np.cos(np.linspace(0.0, np.pi / 2, 8193))) * 2.0**53) / 2.0**53
         self.z = lo + (hi - lo) * np.concatenate([s, 1.0 - s[-2::-1]])
         self.z[-1] = hi
-        fz = self.eval(self.z)
-        if fz.shape != self.z.shape:
-            raise ValueError(
-                f"density function must map a (k,) array to k values; "
-                f"on {self.z.size} points it returned shape {fz.shape}"
-            )
-        if not np.all(np.isfinite(fz)):
-            raise ValueError("density takes non-finite values")
+        fz = _samples_of(fn, self.z, "density")
         if np.any(fz < -1e-12):
             raise ValueError("density takes negative values")
         self.fz = np.maximum(fz, 0.0)
@@ -666,9 +672,8 @@ class DrPdf:
             self.z_hi = _extent(self.z_max if z_hi is None else z_hi)
             if math.isfinite(self.z_max) and self.z_hi != self.z_max:
                 raise ValueError("z_hi must equal a finite z_max")
-            vp = self._eval_fn(_probe_grid(self.z_hi))
-            if not np.all(np.isfinite(vp)):
-                raise ValueError("DR pdf takes non-finite values")
+            # the probe ends at z_hi, which a finite z_max equals: nothing to zero
+            vp = _samples_of(fn, _probe_grid(self.z_hi), "DR pdf")
             if np.any(vp < -1e-12):
                 raise ValueError("DR pdf values must be nonnegative")
             scale = max(float(vp[0]), 1.0)
@@ -766,16 +771,12 @@ class DrCdf:
             self.table = None
             self.fn = fn
             self.z_hi = _extent(z_hi)
-            f0 = float(np.atleast_1d(fn(np.array([0.0])))[0])
-            ftop = float(np.atleast_1d(fn(np.array([self.z_hi])))[0])
-            if abs(f0) > 1e-9:
-                raise ValueError("DR cdf must satisfy F(0) = 0")
-            if not (1.0 - 1e-6 < ftop <= 1.0 + 1e-9):
-                raise ValueError(f"DR cdf value {ftop:.8f} at z_hi is not within 1e-6 of 1")
             zp = _probe_grid(self.z_hi)
-            vp = np.asarray(fn(zp), dtype=np.float64)
-            if not np.all(np.isfinite(vp)):
-                raise ValueError("DR cdf takes non-finite values")
+            vp = _samples_of(fn, zp, "DR cdf")  # from z = 0 to z_hi
+            if abs(vp[0]) > 1e-9:
+                raise ValueError("DR cdf must satisfy F(0) = 0")
+            if not (1.0 - 1e-6 < vp[-1] <= 1.0 + 1e-9):
+                raise ValueError(f"DR cdf value {vp[-1]:.8f} at z_hi is not within 1e-6 of 1")
             if np.any(np.diff(vp) < -1e-12):
                 raise ValueError("DR cdf must be nondecreasing")
             self.concave = _concave_flag(zp, vp)
@@ -959,7 +960,7 @@ def _rearranged_samples(z, fz):
     return _first_of_repeats(zs, vs)
 
 
-def dr_from_density_1d(f, normalize=True):
+def dr_from_density_1d(f):
     """Decreasing rearrangement of a univariate density, exact for its samples.
 
     Rearranges the piecewise-linear interpolant of the samples that ``f``
@@ -972,8 +973,6 @@ def dr_from_density_1d(f, normalize=True):
     ----------
     f : DensityFn
         Univariate density on a finite interval.
-    normalize : bool
-        Rescale the table to unit mass after the preservation check.
 
     Returns
     -------
@@ -981,14 +980,14 @@ def dr_from_density_1d(f, normalize=True):
     """
     if not isinstance(f, DensityFn):
         raise TypeError("dr_from_density_1d expects a DensityFn")
-    return _dr_of_samples(f.z, f.fz, normalize)
+    return _dr_of_samples(f.z, f.fz)
 
 
-def _dr_of_samples(z, fz, normalize=True):
+def _dr_of_samples(z, fz):
     """DR pdf of the linear interpolant of samples ``fz >= 0`` at strictly increasing ``z``.
 
     The table of :func:`_rearranged_samples`, checked to keep the samples'
-    trapezoid mass and, with ``normalize``, rescaled to unit mass.
+    trapezoid mass and rescaled to unit mass.
     """
     if float(fz.max()) <= 0:
         raise ValueError("density is identically zero on its support")
@@ -1000,9 +999,7 @@ def _dr_of_samples(z, fz, normalize=True):
         raise ValueError(
             f"rearrangement does not preserve mass: {mass:.6g} vs {ref_mass:.6g}"
         )
-    if normalize:
-        return DrPdf(table=TabulatedFn(zs, vs / mass, "nonincreasing"))
-    return DrPdf(table=TabulatedFn(zs, vs, "nonincreasing"), mass_tol=None)
+    return DrPdf(table=TabulatedFn(zs, vs / mass, "nonincreasing"))
 
 
 def _cumtrapz(y, x):

@@ -1,5 +1,7 @@
 """Majorisation verdicts, witnesses, and order-preservation checks."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,7 +10,7 @@ from scipy.special import erf
 
 from conftest import continuous_comparable_pair, discrete_comparable_pair
 from drmaj.algebra import direct_mix_discrete, eval_expr, inverse_mix_discrete
-from drmaj.entropy import entropy_discrete
+from drmaj.entropy import SHANNON, EntropyKind, entropy_discrete
 from drmaj.families import dr_exp_iid, dr_family, dr_mvn, parse_family
 from drmaj.order import (
     CdfComparison,
@@ -23,7 +25,6 @@ from drmaj.order import (
     dilation_witness,
     majorizes_cdf,
     majorizes_discrete,
-    majorizes_matrix,
     slice_compare,
     _slice_integrals,
 )
@@ -72,9 +73,9 @@ def test_prob_vector_validation():
 def test_matrix_majorisation_flattens():
     ind = np.full((2, 2), 0.25)
     pert = np.array([[0.3, 0.2], [0.2, 0.3]])
-    assert majorizes_matrix(ind, pert) is OrderVerdict.PRECEDES
-    assert majorizes_matrix(pert, ind) is OrderVerdict.SUCCEEDS
-    assert majorizes_matrix(ind, ind) is OrderVerdict.EQUAL
+    assert majorizes_discrete(ind, ProbMatrix(pert)) is OrderVerdict.PRECEDES
+    assert majorizes_discrete(ProbMatrix(pert), ind) is OrderVerdict.SUCCEEDS
+    assert majorizes_discrete(ind, ind) is OrderVerdict.EQUAL
 
 
 def test_seeded_pairs_precede(subtests=None):
@@ -264,6 +265,38 @@ def test_non_finite_probabilities_are_rejected(call, args):
         call(*args)
 
 
+_ATOM = [1.0, 0.0, 0.0, 0.0]
+TSALLIS_2 = EntropyKind.tsallis(2.0)
+
+#: every discrete entry point, as a function of one probability vector of length 4
+_DISCRETE_ROUTES = {
+    "ProbVector": lambda p: ProbVector(p).values,
+    "ProbMatrix": lambda p: ProbMatrix(np.reshape(p, (2, 2))).values,
+    "majorizes_discrete": lambda p: majorizes_discrete(p, _ATOM, tol=0.0),
+    "dilation_witness": lambda p: dilation_witness(p, _ATOM).matrix,
+    "entropy_discrete": lambda p: [entropy_discrete(p, k) for k in (SHANNON, TSALLIS_2)],
+    "inverse_mix_discrete": lambda p: inverse_mix_discrete(p, _ATOM, 0.3),
+    "direct_mix_discrete": lambda p: direct_mix_discrete(_ATOM, p, 0.3),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_DISCRETE_ROUTES))
+def test_every_discrete_entry_point_gives_one_answer(route):
+    call = _DISCRETE_ROUTES[route]
+    for bad, message in (
+        ([0.25, 0.25, 0.25, 0.25 + 1e-10], "probabilities must sum to 1, got 1.0000000001"),
+        ([0.25, 0.25, 0.5, NAN], "probability entries must be finite"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(bad)
+    # an entry of -1e-13 is within the tolerance of 0, and read as 0
+    p = [0.5 + 1e-13, 0.25, 0.25, -1e-13]
+    assert np.array_equal(call(p), call(p[:3] + [0.0]))
+    if not route.startswith("Prob"):
+        table = ProbMatrix([[0.4, 0.3], [0.2, 0.1]])
+        assert np.array_equal(call(table), call([0.4, 0.3, 0.2, 0.1]))
+
+
 def test_dilation_witness_requires_order():
     with pytest.raises(ValueError, match="no dilation witness"):
         dilation_witness([0.9, 0.1], [0.6, 0.4])
@@ -335,15 +368,12 @@ def test_dilation_witness_of_rounding_perturbed_equal_pairs(weights, data):
 
 
 @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
-@pytest.mark.parametrize("route", ["slice_compare", "majorizes_discrete", "majorizes_matrix"])
+@pytest.mark.parametrize("route", ["slice_compare", "majorizes_discrete"])
 def test_verdict_routes_reject_bad_tolerances(route, tol):
     # with a valid tol each of these pairs gives PRECEDES
     calls = {
         "slice_compare": lambda: slice_compare(dr_exp_iid(2)[0], dr_exp_iid(1)[0], tol=tol),
         "majorizes_discrete": lambda: majorizes_discrete([0.5, 0.3, 0.2], [0.6, 0.3, 0.1], tol=tol),
-        "majorizes_matrix": lambda: majorizes_matrix(
-            [[0.5, 0.3], [0.2, 0.0]], [[0.6, 0.3], [0.1, 0.0]], tol=tol
-        ),
     }
     with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
         calls[route]()

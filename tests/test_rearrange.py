@@ -29,6 +29,7 @@ from drmaj.rearrange import (
     _concave_flag,
     _cumtrapz,
     _dilated_grid,
+    _rearranged_samples,
     _swap_axes_to_table,
 )
 
@@ -89,8 +90,8 @@ def test_rearrangement_preserves_mass():
         grid = np.linspace(-6.0, 6.0, 20001)
         norm = np.trapezoid(raw(grid), grid)
         f = DensityFn.from_univariate(lambda x: raw(x) / norm, -6.0, 6.0)
-        dr = dr_from_density_1d(f, normalize=False)
-        mass = np.trapezoid(dr.table.values, dr.table.grid)
+        zs, vs = _rearranged_samples(f.z, f.fz)
+        mass = np.trapezoid(vs, zs)
         assert abs(mass - 1.0) <= 1e-4
 
 
@@ -208,6 +209,17 @@ def test_closed_forms_reject_non_finite_values():
                 z_hi=30.0,
                 require_concave=require_concave,
             )
+
+
+def test_closed_forms_name_a_function_that_is_not_vectorised():
+    # each maps a (k,) array to one float, read from its first point or constant
+    first = r"DR pdf function must map a \(k,\) array to k values; on 2049 points it returned shape \(\)"
+    with pytest.raises(ValueError, match=first):
+        DrPdf(fn=lambda z: float(np.exp(-np.asarray(z)[0])), z_max=np.inf, z_hi=40.0)
+    with pytest.raises(ValueError, match=first):
+        DrPdf(fn=lambda z: 0.5, z_max=2.0)
+    with pytest.raises(ValueError, match=r"DR cdf function must map a \(k,\) array to k values"):
+        DrCdf(fn=lambda z: float(-np.expm1(-np.asarray(z)[0])), z_hi=40.0)
 
 
 @pytest.mark.parametrize("z_hi", [np.inf, np.nan, 0.0, -1.0])
@@ -686,11 +698,11 @@ def test_density_is_sampled_once_at_cosine_points():
 def test_dr_knots_are_the_layer_cake_of_the_samples(name):
     pdf, lo, hi = _SMOOTH[name]
     f = DensityFn.from_univariate(pdf, lo, hi)
-    t = dr_from_density_1d(f, normalize=False).table
+    zs, vs = _rearranged_samples(f.z, f.fz)
     w = np.diff(f.z)
     low = np.minimum(f.fz[:-1], f.fz[1:])
     high = np.maximum(f.fz[:-1], f.fz[1:])
-    assert np.max(np.abs(t.grid - _layer_cake(w, low, high)(t.values))) <= 1e-12 * (hi - lo)
+    assert np.max(np.abs(zs - _layer_cake(w, low, high)(vs))) <= 1e-12 * (hi - lo)
 
 
 def test_measure_function_is_the_layer_cake_of_the_samples():
@@ -721,18 +733,19 @@ def test_normal_rearranges_to_its_dilation():
 def test_rearranged_table_keeps_the_samples_mass(name):
     pdf, lo, hi = _SMOOTH.get(name, (_trapezoid_pdf, 0.0, 4.0))
     f = DensityFn.from_univariate(pdf, lo, hi)
-    t = dr_from_density_1d(f, normalize=False).table
-    assert abs(np.trapezoid(t.values, t.grid) - np.trapezoid(f.fz, f.z)) <= 1e-12
+    zs, vs = _rearranged_samples(f.z, f.fz)
+    assert abs(np.trapezoid(vs, zs) - np.trapezoid(f.fz, f.z)) <= 1e-12
 
 
 def test_flat_runs_rearrange_to_flat_runs():
     # the DR is 1/2 on [0, 1], falls linearly to 0 at z = 3, and is 0 after
-    dr = dr_from_density_1d(DensityFn.from_univariate(_trapezoid_pdf, 0.0, 4.0), normalize=False)
-    assert dr.table.values[0] == dr.table.values[1] == 0.5
-    assert abs(dr.table.grid[-1] - 4.0) <= 1e-12 and dr.table.values[-2] == 0.0
+    f = DensityFn.from_univariate(_trapezoid_pdf, 0.0, 4.0)
+    zs, vs = _rearranged_samples(f.z, f.fz)
+    assert vs[0] == vs[1] == 0.5
+    assert abs(zs[-1] - 4.0) <= 1e-12 and vs[-2] == 0.0
     z = np.linspace(0.0, 4.0, 4001)
     exact = np.clip(0.5 - 0.25 * (z - 1.0), 0.0, 0.5)
-    assert np.max(np.abs(dr(z) - exact)) <= 1e-4
+    assert np.max(np.abs(np.interp(z, zs, vs) - exact)) <= 1e-4
 
 
 def test_truncated_normal_steps_to_zero_at_its_support_end():
