@@ -110,10 +110,11 @@ def kde_inputs():
     box = kde.default_box()
     return rng.uniform(box[:, 0], box[:, 1], (16384, 2)), kde.centers, kde.bandwidths
 
-def empirical_inputs():
-    # a Silverman KDE of 2000 N(0, I2) points; default box and 1024 thresholds
+def empirical_inputs(dim):
+    # a Silverman KDE of 2000 N(0, I_dim) points; default box, 100k nodes and
+    # 1024 thresholds: a tensor grid in 2-3-d, iid points in 4-d
     rng = np.random.default_rng(1)
-    kde = empirical.fit_kde(empirical.Dataset(rng.standard_normal((2000, 2))))
+    kde = empirical.fit_kde(empirical.Dataset(rng.standard_normal((2000, dim))))
     return kde, empirical.McConfig(n_points=100_000, seed=1)
 
 # name: (build the arguments, the timed call)
@@ -152,7 +153,11 @@ ROWS = {
     "dilation_witness, 14 x 14 blur pair": (blur_pair, order.dilation_witness),
     "DensityFn(Beta(2.3, 3.1)), its samples and mass check": (lambda: (), beta_density),
     "kde_eval, 120 centres x 16384 points": (kde_inputs, _kernels.kde_eval),
-    "empirical_dr, 2-d, 2000 centres x 100k MC points": (empirical_inputs, empirical.empirical_dr),
+    "empirical_dr, 2-d, 2000 centres x 100k nodes": (lambda: empirical_inputs(2), empirical.empirical_dr),
+    "empirical_dr, 3-d, 2000 centres x 100k nodes": (lambda: empirical_inputs(3), empirical.empirical_dr),
+    "empirical_dr, 4-d, 2000 centres x 100k nodes": (lambda: empirical_inputs(4), empirical.empirical_dr),
+    # the density maximum empirical_dr takes over the centres: m^2 = 4M exponentials
+    "max_hint, 2-d, 2000 centres": (lambda: (empirical_inputs(2)[0],), empirical.KdeModel.max_hint),
 }
 if row == "-":
     print(json.dumps(list(ROWS)))

@@ -296,10 +296,15 @@ def _build_parser():
 
     p = sub.add_parser("empirical", parents=[common], help="DR from CSV data")
     p.add_argument("data", help="CSV of observations (or counts with --discrete)")
-    p.add_argument("--mc-samples", type=int, default=100_000)
+    p.add_argument(
+        "--mc-samples", type=int, default=100_000,
+        help="node budget N (default 100000): the uniform sampler evaluates 2-3-d data on "
+        "round(N^(1/d)) nodes per axis (316^2 = 99856 in 2-d), else N points; the manifest's "
+        "n_evaluated records the count",
+    )
     p.add_argument("--thresholds", type=int, default=1024)
     p.add_argument("--bins", type=int, nargs=2, metavar=("KX", "KY"), default=None,
-                   help="bin 2-d data into a counts table instead of KDE+MC")
+                   help="bin 2-d data into a counts table instead of fitting a KDE")
     p.add_argument("--bounds", default=None,
                    help="bounding box lo,hi per dimension, comma separated")
     p.add_argument("--sampler", choices=["uniform", "low_discrepancy"],

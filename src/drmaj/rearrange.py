@@ -672,8 +672,10 @@ class DrPdf:
             self.z_hi = _extent(self.z_max if z_hi is None else z_hi)
             if math.isfinite(self.z_max) and self.z_hi != self.z_max:
                 raise ValueError("z_hi must equal a finite z_max")
-            # the probe ends at z_hi, which a finite z_max equals: nothing to zero
-            vp = _samples_of(fn, _probe_grid(self.z_hi), "DR pdf")
+            # the probe ends at z_hi, which a finite z_max equals: nothing to zero.
+            # Without an exact measure, its samples are the interpolating one's.
+            zp = _probe_grid(self.z_hi) if measure is not None else _probe_grid(self.z_hi, 8193)
+            vp = _samples_of(fn, zp, "DR pdf")
             if np.any(vp < -1e-12):
                 raise ValueError("DR pdf values must be nonnegative")
             scale = max(float(vp[0]), 1.0)
@@ -684,8 +686,7 @@ class DrPdf:
             if self.table is not None:
                 zs, vs = self.table.grid, self.table.values
             else:
-                zs = _probe_grid(self.z_hi, 8193)
-                vs = self._eval_fn(zs)
+                zs, vs = zp, vp
             # the closure holds the samples, not self: a cycle through it
             # would keep a dropped pdf alive until the garbage collector runs
             vs, zs = vs[::-1], zs[::-1]

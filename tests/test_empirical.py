@@ -7,6 +7,7 @@ from drmaj.empirical import (
     Dataset,
     KdeModel,
     McConfig,
+    _grid_axes,
     _sample_box,
     bin_2d,
     discrete_empirical_dr,
@@ -15,7 +16,8 @@ from drmaj.empirical import (
     fit_kde,
     run_manifest,
 )
-from drmaj.order import OrderVerdict, majorizes_cdf, majorizes_discrete
+from drmaj.families import dr_family
+from drmaj.order import OrderVerdict, compare_cdfs, majorizes_cdf, majorizes_discrete
 from drmaj.rearrange import DrPdf, TabulatedFn
 
 
@@ -36,8 +38,8 @@ def run(n_points, seed=1, **kw):
     return empirical_dr(bvn_model(), cfg)
 
 
-def sup_err(dr):
-    F = empirical_dr_cdf(dr, np.linspace(0.0, 40.0, 4001))
+def sup_err(dr, z_end=40.0):
+    F = empirical_dr_cdf(dr, np.linspace(0.0, z_end, round(100 * z_end) + 1))
     z = np.linspace(0.0, 35.0, 1401)
     return float(np.max(np.abs(F(z) - bvn_dr_cdf_exact(z))))
 
@@ -143,9 +145,12 @@ def test_exact_bvn_recovers_closed_form():
 
 
 def test_error_shrinks_with_budget():
-    errs = [sup_err(run(n)[1]) for n in (5_000, 20_000, 80_000)]
+    # binned to the box's area: renormalising at z = 40 would leave a floor
+    # of 1 - F(40) = 1.7e-3 that no budget lowers
+    errs = [sup_err(run(n)[1], z_end=100.0) for n in (5_000, 20_000, 80_000)]
     assert errs[2] < errs[0]
     assert errs[2] <= 0.015
+    assert errs[2] <= 1e-4
 
 
 def test_runs_are_deterministic():
@@ -165,20 +170,40 @@ def test_low_discrepancy_sampler():
 
 def test_measures_are_exact_superlevel_counts():
     rng = np.random.default_rng(5)
-    model = KdeModel(rng.standard_normal((5, 2)), np.array([0.6, 0.9]))
-    box = model.default_box(margin=5.0)
-    cfg = McConfig(n_points=2000, n_thresholds=64, bounding_box=box, seed=3)
-    measure, dr = empirical_dr(model, cfg)
-    volume = float(np.prod(box[:, 1] - box[:, 0]))
-    dens = model(_sample_box(box, cfg))
-    counts = np.array([(dens > y).sum() for y in measure.thresholds])
-    # one count per threshold, no smoothing: any miscount moves a value by
-    # volume / N, far above the rounding allowed here
-    np.testing.assert_allclose(
-        measure.measures, counts * volume / cfg.n_points, rtol=1e-14, atol=0.0
-    )
-    assert np.all(np.diff(measure.measures) >= 0.0)
-    assert dr.mc_standard_error > 0
+    # 2-d runs the shifted tensor grid, 4-d the iid points
+    for h in ([0.6, 0.9], [0.6, 0.9, 0.7, 1.1]):
+        model = KdeModel(rng.standard_normal((5, len(h))), np.array(h))
+        box = model.default_box(margin=5.0)
+        cfg = McConfig(n_points=2000, n_thresholds=64, bounding_box=box, seed=3)
+        measure, dr = empirical_dr(model, cfg)
+        volume = float(np.prod(box[:, 1] - box[:, 0]))
+        if model.dim == 2:
+            nodes = np.stack(np.meshgrid(*_grid_axes(box, cfg), indexing="ij"), -1)
+            nodes = nodes.reshape(-1, 2)
+        else:
+            nodes = _sample_box(box, cfg)
+        dens = model(nodes)
+        counts = np.array([(dens > y).sum() for y in measure.thresholds])
+        # one count per threshold, no smoothing: any miscount moves a value by
+        # volume / N, far above the rounding allowed here
+        np.testing.assert_allclose(
+            measure.measures, counts * volume / len(nodes), rtol=1e-14, atol=0.0
+        )
+        assert np.all(np.diff(measure.measures) >= 0.0)
+        assert dr.mc_standard_error > 0
+
+
+def test_same_model_reads_equal():
+    # exactly N(0, I2) on a +-4.5 box against its closed form; iid points at
+    # this budget read EQUAL in none of these seeds
+    box = np.array([[-4.5, 4.5], [-4.5, 4.5]])
+    target = dr_family("mvn:n=2,var=1.0")[1]
+    z_star = np.linspace(0.0, 81.0, 2001)
+    for seed in range(1, 21):
+        cfg = McConfig(n_points=16384, bounding_box=box, seed=seed)
+        _, dr = empirical_dr(KdeModel(np.zeros((1, 2)), 1.0), cfg)
+        cmp = compare_cdfs(empirical_dr_cdf(dr, z_star), target)
+        assert cmp.verdict is OrderVerdict.EQUAL, (seed, cmp.max_gap)
 
 
 def test_box_mass_gate():
@@ -277,6 +302,7 @@ def test_run_manifest_is_complete():
     assert man["seed"] == 42
     assert man["n_points"] == 5000
     assert man["sampler"] == "uniform"
+    assert man["n_evaluated"] == 71**2  # round(sqrt(5000)) nodes per axis
     assert np.asarray(man["box"]).shape == (2, 2)
     assert man["n_centers"] == 1
     assert len(man["bandwidths"]) == 2

@@ -101,3 +101,16 @@ def test_kde_eval_far_points_are_exactly_zero():
     pts = np.vstack([far, -far, far * [1.0, -1.0]])
     got = kern.kde_eval(pts, centers, h)
     assert np.all(got == 0.0)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_kde_grid_matches_kde_eval_at_its_nodes(dim):
+    rng = np.random.default_rng(13)
+    # uneven axes, and two full blocks of centres and a partial third
+    axes = [np.sort(rng.uniform(-4.0, 4.0, 40 + 7 * d)) for d in range(dim)]
+    step = kern._CHUNK_FLOATS // math.prod(a.size for a in axes[:-1])
+    centers = rng.standard_normal((2 * step + step // 3, dim))
+    h = np.linspace(0.3, 0.6, dim)
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, dim)
+    got = kern.kde_grid(axes, centers, h)
+    np.testing.assert_allclose(got, kern.kde_eval(nodes, centers, h), rtol=1e-13, atol=0.0)

@@ -213,7 +213,8 @@ def test_closed_forms_reject_non_finite_values():
 
 def test_closed_forms_name_a_function_that_is_not_vectorised():
     # each maps a (k,) array to one float, read from its first point or constant
-    first = r"DR pdf function must map a \(k,\) array to k values; on 2049 points it returned shape \(\)"
+    # without an exact measure, a closed form is probed on its measure's 8193 samples
+    first = r"DR pdf function must map a \(k,\) array to k values; on 8193 points it returned shape \(\)"
     with pytest.raises(ValueError, match=first):
         DrPdf(fn=lambda z: float(np.exp(-np.asarray(z)[0])), z_max=np.inf, z_hi=40.0)
     with pytest.raises(ValueError, match=first):
@@ -240,6 +241,18 @@ def test_measure_without_an_exact_one_interpolates_the_samples():
     vp = beta(zp)
     assert np.array_equal(beta.measure_at(v), np.interp(v, vp[::-1], zp[::-1]))
     assert beta.measure_at(0.5) == float(np.interp(0.5, vp[::-1], zp[::-1]))
+
+
+def test_closed_form_without_a_measure_is_evaluated_once():
+    sizes = []
+
+    def pdf(z):
+        sizes.append(z.size)
+        return 2.0 * (1.0 - z)
+
+    f = DrPdf(fn=pdf, z_max=1.0)
+    assert sizes == [8193]
+    assert f.measure_at(1.0) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_dropped_pdfs_are_freed_without_the_garbage_collector():
